@@ -234,7 +234,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "",
 			"write a final /metrics scrape — fetched over HTTP from the live -metrics-addr endpoint — to this file")
 		cache = flag.String("cache", "off",
-			"initiator-side caching: on (epoch-safe posting + result caches serve hot keys and repeated questions locally) or off")
+			"initiator-side caching: on (posting + result caches serve hot keys and repeated questions locally; a write drops only the entries it touched, membership changes drop none) or off")
 		arrival = flag.String("arrival", "closed",
 			"arrival process of the query workload: closed (the mix/clients loop) or poisson (open-loop arrivals at -rate on the actor engine's virtual timeline)")
 		rate = flag.Float64("rate", 0,
@@ -800,8 +800,8 @@ func printCacheStats(eng *core.Engine) {
 	}
 	cs := eng.Store().CacheStats()
 	line := func(name string, s qcache.Stats) {
-		fmt.Printf("cache:    %-7s hits=%d misses=%d (%.1f%% hit) evictions=%d invalidations=%d bytes=%d entries=%d\n",
-			name, s.Hits, s.Misses, 100*s.HitRatio(), s.Evictions, s.Invalidations, s.Bytes, s.Entries)
+		fmt.Printf("cache:    %-7s hits=%d misses=%d (%.1f%% hit) evictions=%d invalidations=%d invalidated=%d bytes=%d entries=%d\n",
+			name, s.Hits, s.Misses, 100*s.HitRatio(), s.Evictions, s.Invalidations, s.Invalidated, s.Bytes, s.Entries)
 	}
 	line("posting", cs.Postings)
 	line("result", cs.Results)

@@ -149,8 +149,10 @@ type Config struct {
 	MetricsAddr string
 	// Cache enables the initiator-side posting and result caches
 	// (ops.EnableCache): hot probe keys and repeated similarity questions
-	// answer locally at zero message cost, invalidated wholesale by any
-	// membership change or write. Nonzero cache byte bounds imply it.
+	// answer locally at zero message cost. A write drops exactly the cached
+	// posting lists whose key it wrote and the answers whose evaluation read
+	// a key or scanned prefix it wrote; Join, Leave and RefreshRefs drop
+	// nothing. Nonzero cache byte bounds imply it.
 	Cache bool
 	// PostingCacheBytes bounds the posting cache's accounted bytes (0 =
 	// ops.DefaultPostingCacheBytes; negative disables the posting cache).
@@ -288,8 +290,7 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 		net.SetFaults(&simnet.FaultPlan{DropRate: cfg.Drop, Seed: cfg.FaultSeed})
 	}
 	if cfg.Cache {
-		// Caches install after the load phase: the load's writes must not
-		// churn the write generation, and cached traffic belongs to the
+		// Caches install after the load phase: cached traffic belongs to the
 		// measured phase like every other counter.
 		store.EnableCache(ops.CacheConfig{
 			PostingBytes: cfg.PostingCacheBytes,

@@ -181,8 +181,11 @@ func (e *Engine) registerCacheFamilies(r *metrics.Registry) {
 		"Entries evicted to stay within the cache byte bound.",
 		perCache(func(s qcache.Stats) float64 { return float64(s.Evictions) }))
 	r.Counter("pgrid_cache_invalidations_total",
-		"Wholesale cache resets from membership epochs or write generations.",
+		"Writes that dropped at least one cached entry (membership changes drop none).",
 		perCache(func(s qcache.Stats) float64 { return float64(s.Invalidations) }))
+	r.Counter("pgrid_cache_invalidated_entries_total",
+		"Cached entries dropped because a write landed on a key or scanned prefix they were read from.",
+		perCache(func(s qcache.Stats) float64 { return float64(s.Invalidated) }))
 	r.Gauge("pgrid_cache_bytes",
 		"Accounted bytes currently cached.",
 		perCache(func(s qcache.Stats) float64 { return float64(s.Bytes) }))

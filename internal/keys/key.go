@@ -266,6 +266,19 @@ func (k Key) PackedLen() int { return len(k.bits) }
 // allocation-free byte access; i must be below PackedLen.
 func (k Key) PackedByte(i int) byte { return k.bits[i] }
 
+// Hash64 returns a 64-bit FNV-1a hash of the bit sequence (packed bytes, then
+// the bit length, so keys differing only in trailing zero bits hash apart).
+// Equal keys hash equal; it allocates nothing. Callers that can tolerate a
+// false positive use it as a compact stand-in for the key.
+func (k Key) Hash64() uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, b := range k.bits {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return (h ^ uint64(k.n)) * prime64
+}
+
 // MaxInPrefix returns the largest key of the given total bit length that still
 // has k as prefix (k padded with 1-bits). It panics if length < k.Len().
 func (k Key) MaxInPrefix(length int) Key {

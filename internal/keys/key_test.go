@@ -589,3 +589,29 @@ func TestFromPackedBits(t *testing.T) {
 	}()
 	FromPackedBits([]byte{0}, 9)
 }
+
+// TestHash64 pins what callers rely on: equal keys built along different
+// paths hash equal, a key and its zero-bit extension hash apart (their packed
+// bytes can be identical), and hashing allocates nothing.
+func TestHash64(t *testing.T) {
+	a := StringKey("A#word#").Concat(StringKey("sgrid"))
+	b := StringKey("A#word#sgrid")
+	if !a.Equal(b) || a.Hash64() != b.Hash64() {
+		t.Fatalf("equal keys hash apart: %x vs %x", a.Hash64(), b.Hash64())
+	}
+	short := FromBits("1010")
+	if long := short.AppendBit(0); short.Hash64() == long.Hash64() {
+		t.Errorf("%s and %s share the hash %x", short, long, short.Hash64())
+	}
+	seen := map[uint64]string{}
+	for _, s := range []string{"", "O#w1\x00", "O#w2\x00", "G#word#gri\x00", "G#word#rid\x00", "N#", "W#word#"} {
+		h := StringKey(s).Hash64()
+		if prev, dup := seen[h]; dup {
+			t.Errorf("%q and %q collide on %x", prev, s, h)
+		}
+		seen[h] = s
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.Hash64() }); n != 0 {
+		t.Errorf("Hash64 allocates %v times per call", n)
+	}
+}

@@ -337,6 +337,7 @@ func (s *Store) ApplyLoadPlan(p *LoadPlan, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	defer s.clearCaches() // the write set is the whole plan
 	if p.stream != nil {
 		if err := s.applyStream(p, workers); err != nil {
 			return err

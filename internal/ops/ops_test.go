@@ -25,6 +25,11 @@ type fixture struct {
 // newWordFixture loads nWords synthetic words under attribute "word".
 func newWordFixture(t testing.TB, nPeers, nWords int, cfg StoreConfig) *fixture {
 	t.Helper()
+	return newFixtureFromWords(t, nPeers, testWords(nWords), cfg)
+}
+
+// testWords returns nWords distinct seeded words over a five-letter alphabet.
+func testWords(nWords int) []string {
 	rng := rand.New(rand.NewSource(99))
 	seen := map[string]bool{}
 	var words []string
@@ -40,7 +45,7 @@ func newWordFixture(t testing.TB, nPeers, nWords int, cfg StoreConfig) *fixture 
 			words = append(words, w)
 		}
 	}
-	return newFixtureFromWords(t, nPeers, words, cfg)
+	return words
 }
 
 func newFixtureFromWords(t testing.TB, nPeers int, words []string, cfg StoreConfig) *fixture {

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/keys"
@@ -73,15 +74,25 @@ func (s *Store) Similar(t *metrics.Tally, from simnet.NodeID, needle, attr strin
 	return ms, err
 }
 
+// localAnswerVTime is what an answer served from the result cache takes on the
+// virtual timeline when a latency model is installed: one tick, the smallest
+// positive duration. The model prices links, not processing, so a local answer
+// costs nothing more — but it completes after it was asked, not in the same
+// instant: the client's timeline advances, the latency histogram (which skips
+// tallies with neither a hop nor a completion time) counts the hit, and a
+// latency quantile over a mostly-cached workload reads the hit time instead of
+// degenerating to 0, which no ratio against it survives. Without a latency
+// model every completion time is 0 and stays 0.
+const localAnswerVTime simnet.VTime = 1
+
 // similarAt is Similar with an explicit virtual start time, returning the
 // operator's completion time so callers (e.g. the similarity join) can fan
 // several selections out from one fork point.
 //
 // When the result cache is enabled, the whole answer is served locally at
 // zero message cost if the identical question (needle, attr, d, method,
-// short-fallback setting) was answered under the current validity stamp —
-// the membership epoch plus write generation, so churn and writes empty the
-// cache before they could make an answer stale. The ablation options
+// short-fallback setting) was answered before and no write has since landed
+// on anything that evaluation read (see cache.go). The ablation options
 // (NoBatchedRouting, NoFilters) and the naive baseline bypass both caches:
 // they exist to measure the uncached wire protocol.
 func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
@@ -93,16 +104,21 @@ func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr str
 	c := s.cache
 	if c == nil || c.results == nil || opts.Method == MethodNaive ||
 		opts.NoBatchedRouting || opts.NoFilters {
-		return s.similarUncachedAt(t, from, needle, attr, d, opts, start)
+		return s.similarUncachedAt(t, from, needle, attr, d, opts, nil, start)
 	}
 	key := resultCacheKey{needle: needle, attr: attr, d: d, method: opts.Method, noShort: opts.NoShortFallback}
-	st := s.cacheStamp()
-	if ms, ok := c.results.Get(st, key); ok {
-		t.ObservePath(0, int64(start))
-		return copyMatches(ms), start, nil
+	if a, ok := c.results.Get(key); ok {
+		end := start
+		if s.grid.Net().Latency() != nil {
+			end += localAnswerVTime
+		}
+		t.ObservePath(0, int64(end))
+		return copyMatches(a.matches), end, nil
 	}
+	gen := c.results.Gen() // before the first overlay read: see qcache
+	reads := new(readSet)
 	pre := s.grid.RobustStats().Unanswered
-	ms, end, err := s.similarUncachedAt(t, from, needle, attr, d, opts, start)
+	ms, end, err := s.similarUncachedAt(t, from, needle, attr, d, opts, reads, start)
 	if err == nil && s.grid.RobustStats().Unanswered == pre {
 		// Cache a private copy: callers sort and truncate the returned
 		// top-level slice (TopNString does both). Degraded answers — a probe
@@ -112,7 +128,7 @@ func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr str
 		// check is conservative under concurrent queries (another query's
 		// degradation also skips this Put), which costs hit ratio, never
 		// correctness.
-		c.results.Put(st, key, copyMatches(ms))
+		c.results.Put(gen, key, answer{matches: copyMatches(ms), reads: reads.sorted()})
 	}
 	return ms, end, err
 }
@@ -123,9 +139,10 @@ func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr str
 // parallel, on the actor engine they are issued asynchronously onto the
 // shared discrete-event timeline (so sibling phases contend in peer
 // mailboxes like any concurrent operations), and their candidate sets merge
-// afterwards.
+// afterwards. reads, when non-nil, records the evaluation's read set for the
+// result cache.
 func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
-	opts SimilarOptions, start simnet.VTime) ([]Match, simnet.VTime, error) {
+	opts SimilarOptions, reads *readSet, start simnet.VTime) ([]Match, simnet.VTime, error) {
 
 	schema := attr == ""
 	if opts.Method == MethodNaive {
@@ -143,11 +160,11 @@ func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, 
 	end := s.grid.Fanout(start, branches, func(i int, st simnet.VTime) simnet.VTime {
 		if i == 0 {
 			var e simnet.VTime
-			gramOids, e, gramErr = s.probeCandidates(t, from, needle, attr, d, opts, st)
+			gramOids, e, gramErr = s.probeCandidates(t, from, needle, attr, d, opts, reads, st)
 			return e
 		}
 		var e simnet.VTime
-		shortOids, e, shortErr = s.shortCandidates(t, from, needle, attr, d, st)
+		shortOids, e, shortErr = s.shortCandidates(t, from, needle, attr, d, reads, st)
 		return e
 	})
 	if gramErr != nil {
@@ -160,7 +177,7 @@ func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, 
 	for oid := range shortOids {
 		oids[oid] = true
 	}
-	objects, end, err := s.reconstructSetAt(t, from, oids, opts.NoBatchedRouting, opts.NoFilters, end)
+	objects, end, err := s.reconstructSetAt(t, from, oids, opts.NoBatchedRouting, opts.NoFilters, reads, end)
 	if err != nil {
 		return nil, end, err
 	}
@@ -173,8 +190,9 @@ func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, 
 // multicast, and keep the oids the scheme's candidate predicate accepts
 // (position and length filters for q-grams, length only for buckets).
 func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
-	opts SimilarOptions, start simnet.VTime) (map[string]bool, simnet.VTime, error) {
+	opts SimilarOptions, reads *readSet, start simnet.VTime) (map[string]bool, simnet.VTime, error) {
 	probes := s.scheme.Probes(attr, needle, d, opts.Method == MethodQSamples)
+	reads.addKeys(probes.Keys)
 
 	keyOf := probes.KeyOf
 	if opts.NoFilters {
@@ -251,11 +269,11 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 	keyOf func(triples.Posting) (keys.Key, bool),
 	dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
 
-	st := s.cacheStamp()
+	gen := pc.Gen() // before the multicast reads the overlay: see qcache
 	out := dst
 	var missed []keys.Key
 	for _, k := range ks {
-		if ps, ok := pc.Get(st, postingKeyOf(k)); ok {
+		if ps, ok := pc.Get(postingKeyOf(k)); ok {
 			out = append(out, ps...)
 		} else {
 			missed = append(missed, k)
@@ -276,8 +294,7 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 		perKey[postingKeyOf(k)] = nil
 	}
 	// A multicast that degraded (a branch left unanswered on a lossy fabric)
-	// may be missing postings; caching it would poison every later hit under
-	// the same stamp.
+	// may be missing postings; caching it would poison every later hit.
 	cacheable := s.grid.RobustStats().Unanswered == pre
 	for _, p := range ps {
 		k, ok := keyOf(p)
@@ -297,7 +314,11 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 		// eviction draws from insertion order, which must be reproducible.
 		for _, k := range missed {
 			id := postingKeyOf(k)
-			pc.Put(st, id, perKey[id])
+			list := perKey[id]
+			if cap(list) > len(list) {
+				list = slices.Clone(list) // the cache is charged, and holds, the capacity
+			}
+			pc.Put(gen, id, list)
 		}
 	}
 	return append(out, ps...), end, nil
@@ -309,17 +330,19 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 // per-attribute collection scans are independent branch expansions that fan
 // out concurrently under the asynchronous fabric.
 func (s *Store) shortCandidates(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
-	start simnet.VTime) (map[string]bool, simnet.VTime, error) {
+	reads *readSet, start simnet.VTime) (map[string]bool, simnet.VTime, error) {
 
 	oids := make(map[string]bool)
 	if attr != "" {
+		prefix := triples.ShortValuePrefix(attr)
+		reads.addScan(prefix)
 		filter := func(p triples.Posting) bool {
 			return p.Index == triples.IndexShort &&
 				p.Triple.Val.Kind == triples.KindString &&
 				strdist.LengthFilter(len(p.Triple.Val.Str), len(needle), d) &&
 				strdist.WithinDistance(needle, p.Triple.Val.Str, d)
 		}
-		res, end, err := s.grid.PrefixQueryAt(t, from, triples.ShortValuePrefix(attr),
+		res, end, err := s.grid.PrefixQueryAt(t, from, prefix,
 			pgrid.RangeOptions{Filter: filter, FilterBytes: len(needle) + 4}, start)
 		if err != nil {
 			return nil, end, err
@@ -335,7 +358,9 @@ func (s *Store) shortCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 		return p.Index == triples.IndexCatalog &&
 			strdist.WithinDistance(needle, p.Triple.Attr, d)
 	}
-	cat, end, err := s.grid.PrefixQueryAt(t, from, triples.CatalogPrefix(),
+	catalog := triples.CatalogPrefix()
+	reads.addScan(catalog)
+	cat, end, err := s.grid.PrefixQueryAt(t, from, catalog,
 		pgrid.RangeOptions{Filter: filter, FilterBytes: len(needle) + 4}, start)
 	if err != nil {
 		return nil, end, err
@@ -343,8 +368,9 @@ func (s *Store) shortCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 	results := make([][]triples.Posting, len(cat))
 	errs := make([]error, len(cat))
 	end = s.grid.Fanout(end, len(cat), func(i int, st simnet.VTime) simnet.VTime {
-		res, e, err := s.grid.PrefixQueryAt(t, from, triples.AttrPrefix(cat[i].Triple.Attr),
-			pgrid.RangeOptions{}, st)
+		prefix := triples.AttrPrefix(cat[i].Triple.Attr)
+		reads.addScan(prefix)
+		res, e, err := s.grid.PrefixQueryAt(t, from, prefix, pgrid.RangeOptions{}, st)
 		results[i], errs[i] = res, err
 		return e
 	})
@@ -396,7 +422,7 @@ func (s *Store) similarNaiveAt(t *metrics.Tally, from simnet.NodeID, needle, att
 	}
 	// The naive baseline stays entirely uncached: it is the paper's cost
 	// comparison, so its reconstruction fetches must hit the wire too.
-	objects, end, err := s.reconstructSetAt(t, from, oids, false, true, end)
+	objects, end, err := s.reconstructSetAt(t, from, oids, false, true, nil, end)
 	if err != nil {
 		return nil, end, err
 	}
@@ -407,16 +433,17 @@ func (s *Store) similarNaiveAt(t *metrics.Tally, from simnet.NodeID, needle, att
 // multicast over the oid index (lines 10-11 of Algorithm 2, using the
 // shower-style batching the paper lists as an implemented optimization).
 func (s *Store) reconstruct(t *metrics.Tally, from simnet.NodeID, oids []string) ([]triples.Tuple, error) {
-	out, _, err := s.reconstructAt(t, from, oids, false, false, simnet.VTime(t.PathEnd()))
+	out, _, err := s.reconstructAt(t, from, oids, false, false, nil, simnet.VTime(t.PathEnd()))
 	return out, err
 }
 
 // reconstructSetAt flattens a candidate oid set into a pooled scratch slice
 // and reconstructs — one flatten, one sort (inside reconstructAt), zero
 // per-query slice allocations on the similarity path. noCache keeps the
-// posting cache out of the oid fetch (ablations, the naive baseline).
+// posting cache out of the oid fetch (ablations, the naive baseline); reads,
+// when non-nil, records the oid keys fetched.
 func (s *Store) reconstructSetAt(t *metrics.Tally, from simnet.NodeID, set map[string]bool,
-	unbatched, noCache bool, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
+	unbatched, noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
 
 	if len(set) == 0 {
 		return nil, start, nil
@@ -428,7 +455,7 @@ func (s *Store) reconstructSetAt(t *metrics.Tally, from simnet.NodeID, set map[s
 		oids = append(oids, oid)
 	}
 	qs.oids = oids
-	return s.reconstructAt(t, from, oids, unbatched, noCache, start)
+	return s.reconstructAt(t, from, oids, unbatched, noCache, reads, start)
 }
 
 // oidKeyOf attributes an oid-index posting back to its storage key for the
@@ -441,7 +468,7 @@ func oidKeyOf(p triples.Posting) (keys.Key, bool) {
 }
 
 func (s *Store) reconstructAt(t *metrics.Tally, from simnet.NodeID, oids []string,
-	unbatched, noCache bool, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
+	unbatched, noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
 
 	if len(oids) == 0 {
 		return nil, start, nil
@@ -454,6 +481,7 @@ func (s *Store) reconstructAt(t *metrics.Tally, from simnet.NodeID, oids []strin
 		ks = append(ks, triples.OIDKey(oid))
 	}
 	qs.keys = ks
+	reads.addKeys(ks)
 	keyOf := oidKeyOf
 	if noCache {
 		keyOf = nil

@@ -19,7 +19,6 @@ package ops
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/keys"
 	"repro/internal/keyscheme"
@@ -125,10 +124,9 @@ type Store struct {
 	qscratch sync.Pool
 
 	// cache holds the initiator-side posting and result caches (nil until
-	// EnableCache); writeGen is the cache-invalidating write generation,
-	// bumped by every routed Insert/Delete.
-	cache    *queryCache
-	writeGen atomic.Uint64
+	// EnableCache). Every path that mutates the grid reports what it wrote
+	// through invalidate or clearCaches (cache.go).
+	cache *queryCache
 
 	mu        sync.Mutex
 	attrsSeen map[string]bool
@@ -317,8 +315,8 @@ func (s *Store) LoadTriple(tr triples.Triple) error {
 	if err := validateTriple(tr); err != nil {
 		return err
 	}
-	s.bumpWriteGen() // unaccounted, but still a write: cached answers must not survive it
 	es := s.entriesForTriple(tr, s.markAttr(tr.Attr))
+	defer s.invalidate(es) // unaccounted, but still a write; deferred: the report follows the apply
 	for _, e := range es {
 		if err := s.grid.BulkInsert(e.Key, e.Posting); err != nil {
 			return fmt.Errorf("ops: loading %s: %w", tr, err)
@@ -350,8 +348,8 @@ func (s *Store) InsertTriple(t *metrics.Tally, from simnet.NodeID, tr triples.Tr
 	if err := validateTriple(tr); err != nil {
 		return err
 	}
-	s.bumpWriteGen()
 	es := s.entriesForTriple(tr, s.markAttr(tr.Attr))
+	defer s.invalidate(es) // deferred: the report follows the apply, on the error paths too
 	for _, e := range es {
 		if err := s.grid.Insert(t, from, e.Key, e.Posting); err != nil {
 			return fmt.Errorf("ops: inserting %s: %w", tr, err)
@@ -380,8 +378,8 @@ func (s *Store) DeleteTriple(t *metrics.Tally, from simnet.NodeID, tr triples.Tr
 	if err := validateTriple(tr); err != nil {
 		return err
 	}
-	s.bumpWriteGen()
 	es := s.entriesForTriple(tr, false)
+	defer s.invalidate(es) // deferred: the report follows the apply, on the error paths too
 	for _, e := range es {
 		match := func(p triples.Posting) bool {
 			return p.Triple.OID == tr.OID && p.GramText == e.Posting.GramText &&

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/asyncnet"
+	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/simnet"
+	"repro/internal/triples"
 )
 
 // buildChurnGrid constructs a grid for churn tests over the given fabric
@@ -395,4 +398,58 @@ func TestEpochAdvancesOnMembershipChanges(t *testing.T) {
 	if g.Epoch() != e0+1 {
 		t.Errorf("Join advanced epoch to %d, want %d", g.Epoch(), e0+1)
 	}
+}
+
+// liveHeap is HeapAlloc after two forced collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestJoinReplicaStoreAtBulkOccupancy: a newcomer's store is built bottom-up
+// from the handed-over (key-ordered) partition, so k joins onto replicated
+// partitions grow the live heap by about k bulk-loaded partitions — not by the
+// nearly fourfold of that which one ascending Insert per entry leaves behind
+// (half-empty leaves in full-capacity slices).
+func TestJoinReplicaStoreAtBulkOccupancy(t *testing.T) {
+	const nPeers, nItems, joins = 8, 40000, 6
+	cfg := DefaultConfig()
+	cfg.Replication = 2 // every partition is replicated: each join copies one whole
+	g, _ := buildChurnGrid(t, func(n *simnet.Network) simnet.Fabric { return n }, nPeers, nItems, cfg)
+
+	var largest postingSet
+	for id := 0; id < nPeers; id++ {
+		p, err := g.Peer(simnet.NodeID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := p.allPostings(); s.size > largest.size {
+			largest = s
+		}
+	}
+	before := liveHeap()
+	ref := btree.New[triples.Posting]()
+	ref.BulkLoadSorted(largest.keys, largest.postings)
+	partition := liveHeap() - before
+	runtime.KeepAlive(ref)
+	runtime.KeepAlive(largest) // or the snapshot's death would offset the tree
+
+	before = liveHeap()
+	for i := 0; i < joins; i++ {
+		if _, err := g.Join(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := liveHeap() - before
+	if g.LeafCount() != nPeers/2 {
+		t.Fatalf("%d partitions after the joins, want %d: a join split instead of replicating", g.LeafCount(), nPeers/2)
+	}
+	if bound := joins * partition * 13 / 10; grown > bound {
+		t.Errorf("%d joins grew the live heap by %d B, over 1.3 x %d x the largest partition's bulk-loaded %d B = %d B",
+			joins, grown, joins, partition, bound)
+	}
+	runtime.KeepAlive(g)
 }
