@@ -14,14 +14,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// execTriple builds three engines over identical data, seeds and latency
-// model, one per execution mode.
-func execTriple(t testing.TB, peers int, service time.Duration) (map[core.RuntimeMode]*core.Engine, []string) {
+// execEngines builds one engine per execution mode over identical data,
+// seeds and latency model.
+func execEngines(t testing.TB, peers int, service time.Duration) (map[core.RuntimeMode]*core.Engine, []string) {
 	t.Helper()
 	corpus := dataset.BibleWords(500, 17)
 	tuples := dataset.StringTuples("word", "o", corpus)
 	engines := make(map[core.RuntimeMode]*core.Engine)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor} {
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		eng, err := core.Open(tuples, core.Config{
 			Peers:   peers,
 			Runtime: mode,
@@ -37,13 +37,13 @@ func execTriple(t testing.TB, peers int, service time.Duration) (map[core.Runtim
 }
 
 // TestActorMatchesOtherExecutorsEndToEnd is the engine-level half of the
-// cross-executor oracle: similarity queries, numeric top-N and full VQL
-// queries return identical results with identical message, byte and hop
-// counts under direct, fanout and actor execution, and the actor timeline
-// never exceeds the serial one.
+// cross-executor oracle: similarity queries and full VQL queries return
+// identical results with identical message, byte and hop counts under
+// direct and actor execution, and the actor timeline never exceeds the
+// serial one.
 func TestActorMatchesOtherExecutorsEndToEnd(t *testing.T) {
-	engines, corpus := execTriple(t, 128, 0)
-	direct := engines[core.RuntimeDirect]
+	engines, corpus := execEngines(t, 128, 0)
+	direct, actor := engines[core.RuntimeDirect], engines[core.RuntimeActor]
 	rng := rand.New(rand.NewSource(9))
 
 	for trial := 0; trial < 6; trial++ {
@@ -56,25 +56,23 @@ func TestActorMatchesOtherExecutorsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []core.RuntimeMode{core.RuntimeFanout, core.RuntimeActor} {
-			var tally metrics.Tally
-			got, err := engines[mode].Store().Similar(&tally, from, needle, "word", d, ops.SimilarOptions{})
-			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v: similar(%q,%d) diverges from direct", mode, needle, d)
-			}
-			b, g := base.Snapshot(), tally.Snapshot()
-			if g.Messages != b.Messages || g.Bytes != b.Bytes || g.Hops != b.Hops {
-				t.Fatalf("%v: similar(%q,%d) cost %v, direct %v", mode, needle, d, g, b)
-			}
-			if g.Latency > b.Latency {
-				t.Fatalf("%v: latency %d exceeds serial %d", mode, g.Latency, b.Latency)
-			}
-			if g.Queue != 0 {
-				t.Fatalf("%v: queueing %dµs with zero service time", mode, g.Queue)
-			}
+		var tally metrics.Tally
+		got, err := actor.Store().Similar(&tally, from, needle, "word", d, ops.SimilarOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("similar(%q,%d) diverges from direct", needle, d)
+		}
+		b, g := base.Snapshot(), tally.Snapshot()
+		if g.Messages != b.Messages || g.Bytes != b.Bytes || g.Hops != b.Hops {
+			t.Fatalf("similar(%q,%d) cost %v, direct %v", needle, d, g, b)
+		}
+		if g.Latency > b.Latency {
+			t.Fatalf("actor latency %d exceeds serial %d", g.Latency, b.Latency)
+		}
+		if g.Queue != 0 {
+			t.Fatalf("queueing %dµs with zero service time", g.Queue)
 		}
 	}
 
@@ -84,13 +82,116 @@ func TestActorMatchesOtherExecutorsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []core.RuntimeMode{core.RuntimeFanout, core.RuntimeActor} {
-		res, err := engines[mode].QueryFrom(11, nil, q)
+	res, err := actor.QueryFrom(11, nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(wantRes.Rows) {
+		t.Fatal("actor VQL rows diverge from direct")
+	}
+}
+
+// TestAsyncMatchesSyncEndToEnd pins the equivalence of the synchronous
+// (direct) and asynchronous (actor, zero service time) executors over
+// identical overlays: every operator returns identical results with
+// identical message and byte counts. They differ only in how virtual time
+// composes — serial sum vs the critical path of the logically parallel
+// branches — so actor latency never exceeds direct and beats it on some
+// similarity query.
+func TestAsyncMatchesSyncEndToEnd(t *testing.T) {
+	engines, corpus := execEngines(t, 192, 0)
+	syncEng, asyncEng := engines[core.RuntimeDirect], engines[core.RuntimeActor]
+	rng := rand.New(rand.NewSource(9))
+	sawFasterAsync := false
+	for trial := 0; trial < 8; trial++ {
+		needle := corpus[rng.Intn(len(corpus))]
+		from := simnet.NodeID(rng.Intn(192))
+		d := 1 + rng.Intn(2)
+
+		var st, at metrics.Tally
+		sms, err := syncEng.Store().Similar(&st, from, needle, "word", d, ops.SimilarOptions{})
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatal(err)
 		}
-		if fmt.Sprint(res.Rows) != fmt.Sprint(wantRes.Rows) {
-			t.Fatalf("%v: VQL rows diverge from direct", mode)
+		ams, err := asyncEng.Store().Similar(&at, from, needle, "word", d, ops.SimilarOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sms) != fmt.Sprint(ams) {
+			t.Fatalf("similar(%q,%d) results diverge between executors", needle, d)
+		}
+		if st.Messages != at.Messages || st.Bytes != at.Bytes {
+			t.Fatalf("similar(%q,%d): direct cost %v != actor cost %v", needle, d, st, at)
+		}
+		if at.Latency > st.Latency {
+			t.Fatalf("actor latency %d exceeds direct %d", at.Latency, st.Latency)
+		}
+		if at.Latency < st.Latency {
+			sawFasterAsync = true
+		}
+	}
+	if !sawFasterAsync {
+		t.Error("actor critical path never beat serial latency over 8 similarity queries")
+	}
+
+	// Joins and string top-N must agree too.
+	var st, at metrics.Tally
+	sj, err := syncEng.Store().SimJoin(&st, 3, "word", "word", 1, ops.JoinOptions{LeftLimit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aj, err := asyncEng.Store().SimJoin(&at, 3, "word", "word", 1, ops.JoinOptions{LeftLimit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(sj) != fmt.Sprint(aj) || st.Messages != at.Messages || st.Bytes != at.Bytes {
+		t.Fatalf("join diverges: %d vs %d pairs, %v vs %v", len(sj), len(aj), st, at)
+	}
+	stop, err := syncEng.Store().TopNString(nil, 7, "word", corpus[0], 5, 3, ops.TopNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atop, err := asyncEng.Store().TopNString(nil, 7, "word", corpus[0], 5, 3, ops.TopNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(stop) != fmt.Sprint(atop) {
+		t.Fatal("top-N string results diverge between executors")
+	}
+}
+
+// TestActorNumericTopNMatchesDirect covers the numeric rank-aware operator
+// (Algorithm 4), whose windowed range probes are logically parallel
+// branches: identical results and messages on both executors, and an actor
+// latency that never exceeds the serial one.
+func TestActorNumericTopNMatchesDirect(t *testing.T) {
+	cars := dataset.Cars(300, 30, 8)
+	engines := make(map[core.RuntimeMode]*core.Engine)
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
+		eng, err := core.Open(cars, core.Config{Peers: 96, Runtime: mode, Latency: asyncnet.DefaultLatency(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[mode] = eng
+	}
+	for _, rank := range []ops.Rank{ops.RankMin, ops.RankMax, ops.RankNN} {
+		var dt, at metrics.Tally
+		dres, err := engines[core.RuntimeDirect].Store().TopN(&dt, 5, "hp", 10, rank, 150, ops.TopNOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ares, err := engines[core.RuntimeActor].Store().TopN(&at, 5, "hp", 10, rank, 150, ops.TopNOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(dres) != fmt.Sprint(ares) {
+			t.Fatalf("%v: results diverge between executors", rank)
+		}
+		if dt.Messages != at.Messages {
+			t.Fatalf("%v: direct %v != actor %v", rank, dt, at)
+		}
+		if at.Latency > dt.Latency {
+			t.Fatalf("%v: actor latency %d exceeds serial %d", rank, at.Latency, dt.Latency)
 		}
 	}
 }
@@ -103,7 +204,7 @@ func TestActorMatchesOtherExecutorsEndToEnd(t *testing.T) {
 // positive cross-operation queueing while per-query latencies never fall
 // below the uncontended sequential ones.
 func TestQueryBatchConcurrentClientsOracle(t *testing.T) {
-	engines, corpus := execTriple(t, 64, 2*time.Millisecond)
+	engines, corpus := execEngines(t, 64, 2*time.Millisecond)
 	queries := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {
 		queries = append(queries,
@@ -172,7 +273,7 @@ func TestQueryBatchConcurrentClientsOracle(t *testing.T) {
 // per-peer load, while a direct engine over the same workload reports
 // neither.
 func TestActorEngineReportsCongestion(t *testing.T) {
-	engines, corpus := execTriple(t, 64, 2*time.Millisecond)
+	engines, corpus := execEngines(t, 64, 2*time.Millisecond)
 	var queued = map[core.RuntimeMode]int64{}
 	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		eng := engines[mode]

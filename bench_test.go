@@ -532,85 +532,8 @@ func BenchmarkSchemeExtract(b *testing.B) {
 	}
 }
 
-// asyncBenchEngine builds (and caches) one engine per runtime mode with the
-// default wide-area latency model, over the bible corpus.
-func asyncBenchEngine(b *testing.B, async bool, peers int) (*core.Engine, []string) {
-	b.Helper()
-	corpus := dataset.BibleWords(benchWords, 1)
-	key := fmt.Sprintf("latbench/%v/%d", async, peers)
-	if eng, ok := engineCache.Load(key); ok {
-		return eng.(*core.Engine), corpus
-	}
-	eng, err := core.Open(dataset.StringTuples("word", "o", corpus), core.Config{
-		Peers:   peers,
-		Async:   async,
-		Latency: asyncnet.DefaultLatency(1),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engineCache.Store(key, eng)
-	return eng, corpus
-}
-
-// BenchmarkRuntimeSyncVsAsync compares the serial shared-memory simulator
-// against the concurrent asyncnet runtime on the three workload families of
-// the paper — range selections, similarity selections, and distributed top-N
-// — over the same overlay and latency model. Two custom metrics matter:
-// sim-ms/op is the simulated end-to-end query latency (critical path under
-// async, serial sum under sync); ns/op is the wall-clock cost of the
-// simulator itself.
-func BenchmarkRuntimeSyncVsAsync(b *testing.B) {
-	const peers = 256
-	workloads := []struct {
-		name string
-		run  func(eng *core.Engine, corpus []string, t *metrics.Tally, i int) error
-	}{
-		{"range", func(eng *core.Engine, corpus []string, t *metrics.Tally, i int) error {
-			from := simnet.NodeID(i % peers)
-			lo, hi := "m", "s"
-			_, err := eng.Store().SelectStrRange(t, from, "word",
-				&ops.StrBound{Value: lo}, &ops.StrBound{Value: hi})
-			return err
-		}},
-		{"similarity", func(eng *core.Engine, corpus []string, t *metrics.Tally, i int) error {
-			needle := corpus[(i*37)%len(corpus)]
-			from := simnet.NodeID(i % peers)
-			_, err := eng.Store().Similar(t, from, needle, "word", 2, ops.SimilarOptions{})
-			return err
-		}},
-		{"topn", func(eng *core.Engine, corpus []string, t *metrics.Tally, i int) error {
-			needle := corpus[(i*53)%len(corpus)]
-			from := simnet.NodeID(i % peers)
-			_, err := eng.Store().TopNString(t, from, "word", needle, 10, 3, ops.TopNOptions{})
-			return err
-		}},
-	}
-	for _, wl := range workloads {
-		for _, async := range []bool{false, true} {
-			mode := "sync"
-			if async {
-				mode = "async"
-			}
-			b.Run(wl.name+"/"+mode, func(b *testing.B) {
-				eng, corpus := asyncBenchEngine(b, async, peers)
-				var simUS int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var tally metrics.Tally
-					if err := wl.run(eng, corpus, &tally, i); err != nil {
-						b.Fatal(err)
-					}
-					simUS += tally.Latency
-				}
-				b.ReportMetric(float64(simUS)/1000/float64(b.N), "sim-ms/op")
-			})
-		}
-	}
-}
-
 // BenchmarkQueryThroughput is the query-side throughput baseline (BENCH_6):
-// similarity queries per second on the three executors, with the lifecycle
+// similarity queries per second on both executors, with the lifecycle
 // tracer off and on. The off/on pair bounds the observability overhead — the
 // acceptance bar is <= 2% on the disabled path, where tracing is a single
 // nil-pointer check per lifecycle transition.
@@ -618,7 +541,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	const peers = 256
 	corpus := dataset.BibleWords(benchWords, 1)
 	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor} {
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		for _, traced := range []bool{false, true} {
 			state := "off"
 			if traced {
@@ -665,7 +588,7 @@ func BenchmarkCachedQueryThroughput(b *testing.B) {
 	const peers = 256
 	corpus := dataset.BibleWords(benchWords, 1)
 	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor} {
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		for _, cached := range []bool{false, true} {
 			state := "off"
 			if cached {

@@ -87,7 +87,7 @@ func bulkLoadProbe(t testing.TB, store *ops.Store, peers int) []string {
 }
 
 // TestBulkLoadEquivalenceOracle is the acceptance oracle of the sharded
-// parallel bulk load: for every executor (direct, fanout, actor) and for
+// parallel bulk load: for every executor (direct, actor) and for
 // serial and parallel worker counts, an engine loaded through the pipeline
 // must expose identical storage statistics and identical query results to
 // the legacy serial double-pass load. Run under -race this also exercises
@@ -101,7 +101,7 @@ func TestBulkLoadEquivalenceOracle(t *testing.T) {
 	refGrid := refStore.Grid().Stats()
 	refProbe := bulkLoadProbe(t, refStore, peers)
 
-	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor}
+	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {

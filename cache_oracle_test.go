@@ -25,7 +25,7 @@ func TestCacheInvalidationOracle(t *testing.T) {
 	const peers = 32
 	corpus := dataset.BibleWords(220, 17)
 	tuples := dataset.StringTuples("word", "o", corpus)
-	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor}
+	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor}
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			open := func(cache bool) *core.Engine {

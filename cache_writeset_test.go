@@ -165,7 +165,7 @@ func TestCacheWriteSetInvalidation(t *testing.T) {
 			short = w
 		}
 	}
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor} {
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		t.Run(mode.String(), func(t *testing.T) {
 			tw := openTwins(t, tuples, core.Config{Peers: peers, Runtime: mode})
 			insert := func(oid string, pairs ...any) {

@@ -1,15 +1,15 @@
 // Command gridsim builds P-Grid overlays across a sweep of network sizes,
 // reports construction statistics, and runs the paper's query workload
 // (top-N nearest-neighbour queries plus similarity self-joins) under either
-// execution runtime:
+// execution mode (-exec):
 //
-//   - the default serial shared-memory simulator of the paper, or
-//   - the concurrent asyncnet runtime (-async), where logically parallel
-//     query branches execute on goroutines and simulated latency follows the
-//     critical path.
+//   - direct, the default serial shared-memory simulator of the paper, or
+//   - actor, where the operators run as message handlers on the asyncnet
+//     discrete-event runtime; with -service 0 its simulated latency is the
+//     critical path of the logically parallel query branches.
 //
-// Both runtimes report messages, data volume, hop counts and simulated
-// per-query latency (per the -latency-dist model), so sync and async runs
+// Both modes report messages, data volume, hop counts and simulated
+// per-query latency (per the -latency-dist model), so direct and actor runs
 // are directly comparable. With -churn-rate, churn events are scheduled
 // between query initiations on the virtual timeline of the asyncnet
 // discrete-event runtime; -churn-mode selects what an event does:
@@ -28,8 +28,8 @@
 //
 // Usage:
 //
-//	gridsim -peers 256 -items 20000 -async -latency-dist uniform:10ms-100ms
-//	gridsim -peers 256 -items 20000 -async -churn-rate 2 -churn-mode membership
+//	gridsim -peers 256 -items 20000 -exec actor -latency-dist uniform:10ms-100ms
+//	gridsim -peers 256 -items 20000 -churn-rate 2 -churn-mode membership
 //	gridsim -peers 100,1000,10000 -items 20000 -validate -mix 0
 //	gridsim -peers 1024 -items 50000 -mix 0 -load-workers 1   # serial-load baseline
 package main
@@ -73,7 +73,6 @@ type rawOptions struct {
 	method      string
 	scheme      string
 	exec        string
-	async       bool
 	clients     int
 	churnRate   float64
 	churnMode   string
@@ -123,17 +122,11 @@ func (r rawOptions) resolve() (options, error) {
 	if o.mode, err = core.ParseRuntimeMode(r.exec); err != nil {
 		return o, err
 	}
-	if r.async {
-		if r.exec != "" && o.mode != core.RuntimeFanout {
-			return o, fmt.Errorf("-async conflicts with -exec %s (it is a legacy alias for -exec fanout)", o.mode)
-		}
-		o.mode = core.RuntimeFanout
-	}
 	if r.clients < 1 {
 		return o, fmt.Errorf("invalid -clients %d (want a client count >= 1)", r.clients)
 	}
 	if r.clients > 1 && o.mode != core.RuntimeActor {
-		return o, fmt.Errorf("-clients %d needs -exec actor: only the discrete-event engine shares one virtual timeline across concurrently issued operations (direct/fanout model no cross-operation contention)", r.clients)
+		return o, fmt.Errorf("-clients %d needs -exec actor: only the discrete-event engine shares one virtual timeline across concurrently issued operations (direct models no cross-operation contention)", r.clients)
 	}
 	if r.metricsOut != "" && r.metricsAddr == "" {
 		return o, errors.New("-metrics-out needs -metrics-addr: the scrape is fetched from the live endpoint")
@@ -150,7 +143,7 @@ func (r rawOptions) resolve() (options, error) {
 	case "poisson":
 		o.openLoop = true
 		if o.mode != core.RuntimeActor {
-			return o, errors.New("-arrival poisson needs -exec actor: open-loop arrivals contend on the discrete-event engine's one virtual timeline (direct/fanout model no cross-operation contention)")
+			return o, errors.New("-arrival poisson needs -exec actor: open-loop arrivals contend on the discrete-event engine's one virtual timeline (direct models no cross-operation contention)")
 		}
 		if r.rate <= 0 {
 			return o, errors.New("-arrival poisson needs -rate: the offered arrival rate in queries per simulated second")
@@ -198,16 +191,14 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		validate  = flag.Bool("validate", false, "measure routing hops vs 0.5*log2(N)")
 
-		async = flag.Bool("async", false, "legacy alias for -exec fanout")
-		exec  = flag.String("exec", "",
-			"execution mode: direct (serial simulator), fanout (goroutine-parallel branches), actor (operators as message handlers on the discrete-event runtime)")
+		exec = flag.String("exec", "",
+			"execution mode: direct (serial simulator) or actor (operators as message handlers on the discrete-event runtime; with -service 0 latency is the critical path)")
 		service = flag.Duration("service", 0,
 			"per-message service time of each peer in actor mode (e.g. 500us); makes queueing observable")
 		latAware = flag.Bool("latency-aware", false,
 			"route via the live reference with the lowest expected link latency instead of the hashed choice")
 		clients = flag.Int("clients", 1,
 			"closed-loop concurrent clients issuing the query mix on one shared virtual timeline (actor mode; 1 = sequential issue)")
-		workers     = flag.Int("workers", 0, "fanout goroutine bound (0 = default)")
 		loadWorkers = flag.Int("load-workers", 0,
 			"bulk-load pipeline concurrency: 0 = GOMAXPROCS, 1 = serial (results are identical either way)")
 		loadBudget = flag.Int64("load-budget", 0,
@@ -257,7 +248,6 @@ func main() {
 		method:      *method,
 		scheme:      *scheme,
 		exec:        *exec,
-		async:       *async,
 		clients:     *clients,
 		churnRate:   *churn,
 		churnMode:   *churnMode,
@@ -336,7 +326,6 @@ func main() {
 			Peers:            n,
 			Scheme:           opt.scheme,
 			Runtime:          mode,
-			Workers:          *workers,
 			LoadWorkers:      *loadWorkers,
 			LoadBudget:       *loadBudget,
 			Latency:          latency,

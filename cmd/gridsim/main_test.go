@@ -91,24 +91,9 @@ func TestResolveOptions(t *testing.T) {
 			wantErr: "negative churn rate",
 		},
 		{
-			name: "async conflicts with exec actor",
-			mutate: func(r *rawOptions) {
-				r.async = true
-				r.exec = "actor"
-			},
-			wantErr: "-async conflicts with -exec actor",
-		},
-		{
-			name: "async agrees with exec fanout",
-			mutate: func(r *rawOptions) {
-				r.async = true
-				r.exec = "fanout"
-			},
-			check: func(t *testing.T, o options) {
-				if o.mode != core.RuntimeFanout {
-					t.Errorf("mode = %v, want fanout", o.mode)
-				}
-			},
+			name:    "exec fanout lists the remaining modes",
+			mutate:  func(r *rawOptions) { r.exec = `fanout` },
+			wantErr: `(want direct or actor)`,
 		},
 		{
 			name:    "clients below one",

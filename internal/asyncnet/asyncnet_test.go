@@ -2,9 +2,7 @@ package asyncnet
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/simnet"
@@ -156,72 +154,9 @@ func TestRuntimeRunUntil(t *testing.T) {
 	}
 }
 
-// TestNetFanoutParallelMax verifies the concurrent fabric's Fanout contract:
-// branches fork at the same start time, the group ends at the max branch
-// end, and branches genuinely run concurrently (two branches rendezvous via
-// channels, which would deadlock under serial chaining).
-func TestNetFanoutParallelMax(t *testing.T) {
-	net := NewNet(simnet.New(4), Options{Workers: 4})
-	ping, pong := make(chan struct{}), make(chan struct{})
-	starts := make([]simnet.VTime, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		end := net.Fanout(100, 2, func(i int, st simnet.VTime) simnet.VTime {
-			starts[i] = st
-			if i == 0 {
-				ping <- struct{}{}
-				<-pong
-				return st + 50
-			}
-			<-ping
-			pong <- struct{}{}
-			return st + 300
-		})
-		if end != 400 {
-			t.Errorf("fanout end = %d, want 400", end)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("fanout deadlocked: branches did not run concurrently")
-	}
-	if starts[0] != 100 || starts[1] != 100 {
-		t.Fatalf("branch starts %v, want both 100", starts)
-	}
-}
-
-// TestNetFanoutSaturationFallsBackInline exercises the worker-pool
-// backpressure: with a single worker slot, deep fan-out still completes (the
-// excess branches run inline) and virtual-time results are identical.
-func TestNetFanoutSaturationFallsBackInline(t *testing.T) {
-	net := NewNet(simnet.New(4), Options{Workers: 1})
-	var mu sync.Mutex
-	ran := 0
-	var rec func(depth int, start simnet.VTime) simnet.VTime
-	rec = func(depth int, start simnet.VTime) simnet.VTime {
-		if depth == 0 {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-			return start + 1
-		}
-		return net.Fanout(start, 3, func(i int, st simnet.VTime) simnet.VTime {
-			return rec(depth-1, st)
-		})
-	}
-	if end := rec(4, 0); end != 1 {
-		t.Fatalf("end = %d, want 1 (all branches fork at 0)", end)
-	}
-	if ran != 81 {
-		t.Fatalf("ran %d leaves, want 81", ran)
-	}
-}
-
 // TestLatencyModelsDeterministicAndBounded pins the seeded distributions:
 // identical arguments yield identical samples, samples respect bounds, and
-// sync/async comparability holds because the draw is stateless.
+// direct/actor comparability holds because the draw is stateless.
 func TestLatencyModelsDeterministicAndBounded(t *testing.T) {
 	u := Uniform{Min: 1000, Max: 2000, Seed: 7}
 	seen := map[simnet.VTime]bool{}
@@ -360,9 +295,8 @@ func TestLogNormalSamplingBounds(t *testing.T) {
 // TestSendTimedAppliesLatency checks the fabric surface end to end: a timed
 // send advances virtual time by the model's sample and records the message.
 func TestSendTimedAppliesLatency(t *testing.T) {
-	base := simnet.New(4)
-	base.SetLatency(Func(Fixed{D: 700}))
-	net := NewNet(base, Options{})
+	net := simnet.New(4)
+	net.SetLatency(Func(Fixed{D: 700}))
 	var tally metrics.Tally
 	arrive, err := net.SendTimed(&tally, 0, 1, testMsg{size: 40}, 1000)
 	if err != nil {

@@ -6,13 +6,10 @@
 //   - seeded per-link latency distributions (this file), so queries have a
 //     simulated end-to-end latency and hop count in addition to message and
 //     byte counts;
-//   - a concurrent Fabric (net.go) that executes logically parallel query
-//     branches — shower/range fan-out, similarity expansion, top-N probes —
-//     on goroutines bounded by a worker pool, with results merged
-//     deterministically;
 //   - a deterministic discrete-event actor runtime (runtime.go) with
 //     per-peer mailboxes, virtual clock, backpressure, and failure handling,
-//     used to drive churn/latency scenarios on a virtual timeline.
+//     on which the actor executor runs the operators and which drives
+//     churn/latency scenarios on a virtual timeline.
 package asyncnet
 
 import (
@@ -28,9 +25,9 @@ import (
 // LatencyModel draws the propagation delay of a link. Implementations must
 // be deterministic functions of their arguments (plus the model's seed) and
 // safe for concurrent use: a link's delay may not depend on global call
-// order, so concurrent (async) and serial (sync) executions of the same
-// workload observe identical per-message delays and their simulated
-// latencies are directly comparable.
+// order, so the direct and actor executions of the same workload observe
+// identical per-message delays and their simulated latencies are directly
+// comparable.
 type LatencyModel interface {
 	// Sample returns the delay of one message of the given size on the
 	// from -> to link.

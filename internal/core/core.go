@@ -42,41 +42,32 @@ const (
 	// are direct calls, logically parallel branches chain, and virtual time
 	// is pure arithmetic.
 	RuntimeDirect RuntimeMode = iota
-	// RuntimeFanout keeps direct-call operators but executes logically
-	// parallel branches on goroutines (asyncnet.Net), so simulated latency
-	// follows the critical path and wall-clock time shrinks with cores.
-	RuntimeFanout
 	// RuntimeActor runs the operators themselves as message handlers on the
 	// asyncnet discrete-event runtime: every peer is an actor with a mailbox
 	// and a service time, making queueing delay, backpressure and per-peer
 	// load first-class observables. Results, routes and hop counts are
-	// identical to the other modes for the same seed.
+	// identical to RuntimeDirect for the same seed; with zero service time
+	// its latency is the critical path of the logically parallel branches.
 	RuntimeActor
 )
 
 // String names the mode for flags and reports.
 func (m RuntimeMode) String() string {
-	switch m {
-	case RuntimeFanout:
-		return "fanout"
-	case RuntimeActor:
+	if m == RuntimeActor {
 		return "actor"
-	default:
-		return "direct"
 	}
+	return "direct"
 }
 
 // ParseRuntimeMode maps the -exec flag syntax to a RuntimeMode.
 func ParseRuntimeMode(s string) (RuntimeMode, error) {
 	switch s {
-	case "", "direct", "sync":
+	case "", "direct":
 		return RuntimeDirect, nil
-	case "fanout", "async":
-		return RuntimeFanout, nil
 	case "actor":
 		return RuntimeActor, nil
 	default:
-		return 0, fmt.Errorf("core: unknown execution mode %q (want direct, fanout or actor)", s)
+		return 0, fmt.Errorf("core: unknown execution mode %q (want direct or actor)", s)
 	}
 }
 
@@ -97,14 +88,9 @@ type Config struct {
 	// Plan configures query planning, notably the similarity method
 	// (q-grams, q-samples, or the naive scan).
 	Plan plan.Options
-	// Runtime selects the execution mode (direct, fanout, actor). The
-	// default is the paper's serial shared-memory simulator.
+	// Runtime selects the execution mode (direct, actor). The default is
+	// the paper's serial shared-memory simulator.
 	Runtime RuntimeMode
-	// Async is the legacy switch for RuntimeFanout; it is honoured when
-	// Runtime is left at the default.
-	Async bool
-	// Workers bounds the fanout runtime's goroutines (0 = default).
-	Workers int
 	// Latency models per-link propagation delay (nil = instantaneous, the
 	// paper's cost model). With a model set, queries report simulated
 	// latency and hop counts under every runtime.
@@ -179,9 +165,6 @@ func (c *Config) normalize() {
 	if c.Peers <= 0 {
 		c.Peers = 64
 	}
-	if c.Runtime == RuntimeDirect && c.Async {
-		c.Runtime = RuntimeFanout
-	}
 	if c.Store.Scheme == keyscheme.KindQGram {
 		// Raise-only: a caller configuring ops.StoreConfig directly keeps
 		// their setting.
@@ -226,7 +209,6 @@ func (c *Config) normalize() {
 type Engine struct {
 	cfg   Config
 	net   *simnet.Network
-	fab   simnet.Fabric
 	grid  *pgrid.Grid
 	store *ops.Store
 	load  LoadInfo
@@ -247,11 +229,10 @@ type LoadInfo struct {
 
 // Open builds the overlay balanced against the dataset's index keys, loads
 // every tuple, and resets the message counters so subsequent accounting
-// covers queries only (the paper does not measure the load phase). With
-// cfg.Async the overlay runs on the concurrent asyncnet fabric; the overlay
-// structure is identical for the same seed either way, so sync and async
-// engines over the same data answer queries with identical results and
-// message counts.
+// covers queries only (the paper does not measure the load phase). The
+// overlay structure is identical for the same seed under either execution
+// mode, so direct and actor engines over the same data answer queries with
+// identical results and message counts.
 //
 // Loading runs the sharded bulk-load pipeline: one planning pass extracts
 // every tuple's index entries exactly once across cfg.LoadWorkers workers
@@ -263,15 +244,11 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 	cfg.normalize()
 	net := simnet.New(cfg.Peers)
 	net.SetLatency(asyncnet.Func(cfg.Latency))
-	var fab simnet.Fabric = net
-	if cfg.Runtime == RuntimeFanout {
-		fab = asyncnet.NewNet(net, asyncnet.Options{Workers: cfg.Workers})
-	}
 	plan, err := ops.PlanLoadStream(data, cfg.Store, cfg.LoadWorkers, cfg.LoadBudget)
 	if err != nil {
 		return nil, fmt.Errorf("core: collecting keys: %w", err)
 	}
-	grid, err := pgrid.Build(fab, cfg.Peers, plan.SampleKeys(), cfg.Grid)
+	grid, err := pgrid.Build(net, cfg.Peers, plan.SampleKeys(), cfg.Grid)
 	if err != nil {
 		return nil, fmt.Errorf("core: building grid: %w", err)
 	}
@@ -298,7 +275,7 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 			Seed:         cfg.Grid.Seed,
 		})
 	}
-	eng := &Engine{cfg: cfg, net: net, fab: fab, grid: grid, store: store,
+	eng := &Engine{cfg: cfg, net: net, grid: grid, store: store,
 		load: LoadInfo{Windows: plan.Windows(), Budget: plan.Budget(),
 			PeakEntryBytes: plan.PeakEntryBytes()}}
 	// Observability attaches after the collector reset: traces and metrics
@@ -316,13 +293,6 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 
 // Net exposes the simulated network (metrics, failure injection).
 func (e *Engine) Net() *simnet.Network { return e.net }
-
-// Fabric exposes the sending surface the overlay runs on: the serial
-// *simnet.Network, or the concurrent *asyncnet.Net in fanout mode.
-func (e *Engine) Fabric() simnet.Fabric { return e.fab }
-
-// Async reports whether the engine runs on the concurrent fanout runtime.
-func (e *Engine) Async() bool { return e.cfg.Runtime == RuntimeFanout }
 
 // Mode reports the engine's execution mode.
 func (e *Engine) Mode() RuntimeMode { return e.cfg.Runtime }
@@ -371,7 +341,7 @@ func (e *Engine) QueryFrom(from simnet.NodeID, tally *metrics.Tally, query strin
 // (metrics.Tally.Queue) — cross-operation contention, which per-episode
 // execution could not express. Body spawn and first-issue order are
 // deterministic, so a fixed seed reproduces latencies and queueing exactly.
-// On direct/fanout engines, which model no cross-operation contention,
+// On direct engines, which model no cross-operation contention,
 // bodies run serially in index order with identical results and message
 // costs.
 func (e *Engine) Concurrent(n int, body func(client int)) {

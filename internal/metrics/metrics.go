@@ -23,9 +23,9 @@ import (
 
 // Tally accumulates the cost of one query. The zero value is ready to use.
 // All updates go through atomic operations so logically parallel query
-// branches (the asyncnet fan-out paths) may share one tally; plain field
-// reads are safe once the query has completed (the fan-out joins before
-// returning).
+// branches (the actor executor runs them on goroutines) may share one tally;
+// plain field reads are safe once the query has completed (the fan-out
+// joins before returning).
 type Tally struct {
 	// Messages and Bytes are the paper's two measures, summed over every
 	// overlay message of the query.

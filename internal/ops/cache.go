@@ -105,7 +105,7 @@ type queryCache struct {
 // keep a 1 000-candidate answer's read set at 8 KB where the keys themselves
 // would take ten times that and crowd the answers out of the cache; a
 // collision can only invalidate an answer that a write did not touch. The
-// candidate phases of one evaluation run concurrently under the fanout
+// candidate phases of one evaluation run on goroutines under the actor
 // executor, hence the lock. A nil *readSet records nothing — the uncached
 // paths pass nil and pay nothing.
 type readSet struct {

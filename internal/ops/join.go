@@ -71,9 +71,9 @@ func (s *Store) SimJoin(t *metrics.Tally, from simnet.NodeID, ln, rn string, d i
 
 	// Lines 3-6: one similarity selection per left object (or per distinct
 	// left value when memoizing). The selections are independent, so they
-	// fan out from one fork point — goroutines under the concurrent fabric,
-	// asynchronously issued siblings on the actor engine's shared timeline —
-	// and results are merged back in deterministic left order.
+	// fan out from one fork point — asynchronously issued siblings on the
+	// actor engine's shared timeline — and results are merged back in
+	// deterministic left order.
 	sels := left
 	if opts.MemoizeValues {
 		sels = sels[:0:0]

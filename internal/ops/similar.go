@@ -135,12 +135,11 @@ func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr str
 
 // similarUncachedAt evaluates Algorithm 2 on the overlay. The candidate
 // phases — the q-gram multicast and the short-string fallback scan — are
-// independent branch expansions: under the concurrent fabric they run in
-// parallel, on the actor engine they are issued asynchronously onto the
-// shared discrete-event timeline (so sibling phases contend in peer
-// mailboxes like any concurrent operations), and their candidate sets merge
-// afterwards. reads, when non-nil, records the evaluation's read set for the
-// result cache.
+// independent branch expansions: on the actor engine they are issued
+// asynchronously onto the shared discrete-event timeline (so sibling phases
+// contend in peer mailboxes like any concurrent operations), and their
+// candidate sets merge afterwards. reads, when non-nil, records the
+// evaluation's read set for the result cache.
 func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
 	opts SimilarOptions, reads *readSet, start simnet.VTime) ([]Match, simnet.VTime, error) {
 
@@ -223,7 +222,7 @@ func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 // fetch retrieves postings for a key batch, either with the shower-style
 // multicast (default) or with one routed lookup per key (ablation). The
 // unbatched lookups are independent, so they fan out from the same start
-// time under the concurrent fabric.
+// time on the actor engine.
 //
 // With the posting cache enabled (and a keyOf attribution function — see
 // keyscheme.ProbeSet.KeyOf), hot keys are served locally and only the misses
@@ -328,7 +327,7 @@ func (s *Store) fetchCached(pc *qcache.Cache[postingCacheKey, []triples.Posting]
 // or the attribute catalog (schema level), closing the completeness gap for
 // needles below the q-gram guarantee threshold. At schema level, the
 // per-attribute collection scans are independent branch expansions that fan
-// out concurrently under the asynchronous fabric.
+// out from one fork point on the actor engine.
 func (s *Store) shortCandidates(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
 	reads *readSet, start simnet.VTime) (map[string]bool, simnet.VTime, error) {
 

@@ -136,9 +136,9 @@ func (s *Store) TopN(t *metrics.Tally, from simnet.NodeID, attr string, n int, r
 		added := 0
 		// The window may fall apart into disjoint uncovered segments (below
 		// and above the scanned band); their range probes are independent,
-		// so they fan out concurrently — goroutines under the asynchronous
-		// fabric, asynchronously issued siblings on the actor timeline — and
-		// their results merge deterministically in segment order.
+		// so they fan out as asynchronously issued siblings on the actor
+		// timeline, and their results merge deterministically in segment
+		// order.
 		segs := unscanned(fr, to, scannedLo, scannedHi)
 		segResults := make([][]triples.Posting, len(segs))
 		segErrs := make([]error, len(segs))

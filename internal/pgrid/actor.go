@@ -735,14 +735,14 @@ func (x *actorExec) remove(v *view, t *metrics.Tally, from simnet.NodeID, k keys
 
 // fanout hands every branch the same virtual start time, so branch
 // *accounting* forks at one instant and the group ends at the max branch end
-// — the contract the fanout fabric implements with goroutines, which the
-// cross-executor oracle relies on. Branch bodies are issued asynchronously
-// onto the one shared timeline (group): every sibling's kickoff lands in the
-// heap before the drain loop steps, so mailbox contention BETWEEN sibling
-// ops-level branches is modelled exactly like contention within one grid
-// operation. With zero per-peer service time no queueing arises and the
-// accounting reduces to the fanout fabric's critical-path arithmetic, which
-// the cross-executor oracle pins.
+// — the critical-path contract the cross-executor oracle relies on. Branch
+// bodies are issued asynchronously onto the one shared timeline (group):
+// every sibling's kickoff lands in the heap before the drain loop steps, so
+// mailbox contention BETWEEN sibling ops-level branches is modelled exactly
+// like contention within one grid operation. With zero per-peer service time
+// no queueing arises and the accounting reduces to critical-path arithmetic,
+// which the cross-executor oracle pins against a test fabric computing it
+// directly.
 func (x *actorExec) fanout(start simnet.VTime, branches int, run func(i int, start simnet.VTime) simnet.VTime) simnet.VTime {
 	ends := make([]simnet.VTime, branches)
 	x.group(branches, func(i int) { ends[i] = run(i, start) })

@@ -12,8 +12,8 @@ import (
 // chainExec is the call-threaded execution engine: operators walk the trie
 // with direct function calls, virtual time is pure arithmetic carried in a
 // cursor, and logically parallel branches follow the fabric's Fanout
-// contract (chained under the serial simulator, goroutine-parallel under the
-// concurrent fabric). This is the paper's shared-memory execution model.
+// contract (chained under the serial simulator). This is the paper's
+// shared-memory execution model.
 type chainExec struct {
 	g *Grid
 }
@@ -111,9 +111,8 @@ func (x *chainExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, h
 
 // multiStep serves the key subset this partition is responsible for and
 // forwards the rest into every relevant sibling subtrie. The sibling
-// forwards are logically parallel: under the concurrent fabric they run on
-// goroutines forked at this peer's arrival time, under the serial fabric
-// they chain — the Fanout contract of simnet.Fabric.
+// forwards are logically parallel; under the serial fabric they chain —
+// the Fanout contract of simnet.Fabric.
 func (x *chainExec) multiStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID,
 	ks []hashedKey, scope int, cur cursor) ([]triples.Posting, simnet.VTime, error) {
 
@@ -243,7 +242,7 @@ func (x *chainExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv
 // overlapping partition exactly once. iv is the original-space interval
 // evaluated against stored keys; ivH is its hashed-space image used for trie
 // pruning. Sibling forwards fan out per the fabric's Fanout contract:
-// concurrently under asyncnet, chained under the serial simulator.
+// chained under the serial simulator.
 func (x *chainExec) showerStep(v *view, t *metrics.Tally, initiator, at simnet.NodeID,
 	iv, ivH keys.Interval, scope int, opts RangeOptions, cur cursor) ([]triples.Posting, simnet.VTime, error) {
 

@@ -9,20 +9,23 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/asyncnet"
 	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/simnet"
 	"repro/internal/triples"
 )
 
-// buildChurnGrid constructs a grid for churn tests over the given fabric
-// constructor, bulk-loading nItems sequential postings.
-func buildChurnGrid(t *testing.T, mkFab func(*simnet.Network) simnet.Fabric,
+// buildChurnGrid constructs a grid for churn tests, bulk-loading nItems
+// sequential postings. A non-nil wrap installs a test fabric over the
+// serial network.
+func buildChurnGrid(t *testing.T, wrap func(*simnet.Network) simnet.Fabric,
 	nPeers, nItems int, cfg Config) (*Grid, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(nPeers)
-	fab := mkFab(net)
+	var fab simnet.Fabric = net
+	if wrap != nil {
+		fab = wrap(net)
+	}
 	sample := make([]keys.Key, nItems)
 	for i := range sample {
 		sample[i] = testKey(i)
@@ -43,22 +46,25 @@ func buildChurnGrid(t *testing.T, mkFab func(*simnet.Network) simnet.Fabric,
 // TestChurnSafeMembershipDuringQueries is the acceptance test of the epoch
 // model: well over 100 interleaved Join/Leave/RefreshRefs operations execute
 // while lookups, multicasts and range queries run concurrently, on every
-// execution engine — the serial fabric, the concurrent fanout fabric, and
-// the discrete-event actor executor. Because every query reads one
+// execution engine — raw query goroutines on the serial fabric ("serial"),
+// raw query goroutines on the critical-path fabric whose branches overlap in
+// virtual time ("async"), and gated clients on the discrete-event actor
+// executor ("actor"). Because every query reads one
 // consistent epoch and graceful churn never destroys data, every query must
 // return exactly the result of a churn-free run — no errors tolerated — and
 // the race detector must stay silent.
 func TestChurnSafeMembershipDuringQueries(t *testing.T) {
-	serial := func(n *simnet.Network) simnet.Fabric { return n }
+	critical := func(n *simnet.Network) simnet.Fabric { return criticalPath{n} }
 	engines := map[string]struct {
-		mkFab func(*simnet.Network) simnet.Fabric
-		exec  ExecMode
+		wrap func(*simnet.Network) simnet.Fabric
+		exec ExecMode
 	}{
-		"serial": {mkFab: serial},
-		"async":  {mkFab: func(n *simnet.Network) simnet.Fabric { return asyncnet.NewNet(n, asyncnet.Options{}) }},
-		"actor":  {mkFab: serial, exec: ExecActor},
+		"serial": {exec: ExecChain},
+		"async":  {wrap: critical, exec: ExecChain},
+		"actor":  {exec: ExecActor},
 	}
 	for name, eng := range engines {
+		exec := eng.exec
 		t.Run(name, func(t *testing.T) {
 			const (
 				nPeers   = 24
@@ -68,8 +74,8 @@ func TestChurnSafeMembershipDuringQueries(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Replication = 2
 			cfg.RefsPerLevel = 3
-			cfg.Exec = eng.exec
-			g, net := buildChurnGrid(t, eng.mkFab, nPeers, nItems, cfg)
+			cfg.Exec = exec
+			g, net := buildChurnGrid(t, eng.wrap, nPeers, nItems, cfg)
 
 			var (
 				wg        sync.WaitGroup
@@ -179,7 +185,7 @@ func TestChurnSafeMembershipDuringQueries(t *testing.T) {
 					}
 				}
 			}
-			if eng.exec == ExecActor {
+			if exec == ExecActor {
 				// Actor mode: the workers are closed-loop clients on the
 				// runtime's shared timeline, so they issue through the gated
 				// Concurrent path (the raw-goroutine pump regime is gone).
@@ -189,7 +195,7 @@ func TestChurnSafeMembershipDuringQueries(t *testing.T) {
 					g.Concurrent(4, queryWorker)
 				}()
 			} else {
-				// Serial/async fabrics have no shared timeline; raw goroutines
+				// The chained fabrics have no shared timeline; raw goroutines
 				// keep exercising the parallel-query race surface directly.
 				for w := 0; w < 4; w++ {
 					wg.Add(1)
@@ -418,7 +424,7 @@ func TestJoinReplicaStoreAtBulkOccupancy(t *testing.T) {
 	const nPeers, nItems, joins = 8, 40000, 6
 	cfg := DefaultConfig()
 	cfg.Replication = 2 // every partition is replicated: each join copies one whole
-	g, _ := buildChurnGrid(t, func(n *simnet.Network) simnet.Fabric { return n }, nPeers, nItems, cfg)
+	g, _ := buildChurnGrid(t, nil, nPeers, nItems, cfg)
 
 	var largest postingSet
 	for id := 0; id < nPeers; id++ {

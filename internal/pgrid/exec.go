@@ -13,9 +13,9 @@ type ExecMode int
 
 const (
 	// ExecChain runs operators as direct calls threading virtual-time
-	// arithmetic (the paper's shared-memory model). Whether logically
-	// parallel branches chain or overlap is the fabric's Fanout contract:
-	// serial under *simnet.Network, goroutine-parallel under asyncnet.Net.
+	// arithmetic (the paper's shared-memory model). Logically parallel
+	// branches follow the fabric's Fanout contract, which *simnet.Network
+	// implements by chaining them.
 	ExecChain ExecMode = iota
 	// ExecActor runs every operator step as a message handler on a
 	// discrete-event runtime: each peer is an actor with a bounded mailbox
@@ -64,10 +64,10 @@ type executor interface {
 }
 
 // Fanout executes logically parallel branch expansions under the grid's
-// execution model: chained or goroutine-parallel per the fabric's contract
-// (ExecChain), or forked at one virtual instant on the discrete-event
-// timeline (ExecActor). Operators above the grid use it instead of talking
-// to the fabric directly, so the same code measures all execution models.
+// execution model: chained per the fabric's contract (ExecChain), or forked
+// at one virtual instant on the discrete-event timeline (ExecActor).
+// Operators above the grid use it instead of talking to the fabric directly,
+// so the same code measures both execution models.
 func (g *Grid) Fanout(start simnet.VTime, branches int, run func(i int, start simnet.VTime) simnet.VTime) simnet.VTime {
 	return g.exec.fanout(start, branches, run)
 }

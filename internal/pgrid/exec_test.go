@@ -13,14 +13,30 @@ import (
 	"repro/internal/triples"
 )
 
+// criticalPath is the test's arithmetic reference for critical-path latency:
+// the serial network with Fanout redefined so that every branch starts at the
+// fork time and the group ends at the latest branch end. Branches still run
+// one after another on the caller.
+type criticalPath struct{ *simnet.Network }
+
+func (c criticalPath) Fanout(start simnet.VTime, branches int, run func(i int, start simnet.VTime) simnet.VTime) simnet.VTime {
+	end := start
+	for i := 0; i < branches; i++ {
+		if e := run(i, start); e > end {
+			end = e
+		}
+	}
+	return end
+}
+
 // execGrids builds one identical grid per execution engine: the serial
-// chained fabric, the goroutine-parallel fanout fabric, and the
-// discrete-event actor runtime. All share the same seed, data and latency
-// model.
+// chained fabric ("direct"), the chained executor on the critical-path
+// reference fabric ("critical"), and the discrete-event actor runtime. All
+// share the same seed, data and latency model.
 func execGrids(t *testing.T, nPeers, nItems int, mut func(*Config), lat asyncnet.LatencyModel) map[string]*Grid {
 	t.Helper()
 	out := make(map[string]*Grid)
-	for _, mode := range []string{"direct", "fanout", "actor"} {
+	for _, mode := range []string{"direct", "critical", "actor"} {
 		cfg := DefaultConfig()
 		cfg.Replication = 2
 		cfg.RefsPerLevel = 3
@@ -33,8 +49,8 @@ func execGrids(t *testing.T, nPeers, nItems int, mut func(*Config), lat asyncnet
 		net := simnet.New(nPeers)
 		net.SetLatency(asyncnet.Func(lat))
 		var fab simnet.Fabric = net
-		if mode == "fanout" {
-			fab = asyncnet.NewNet(net, asyncnet.Options{})
+		if mode == "critical" {
+			fab = criticalPath{net}
 		}
 		sample := make([]keys.Key, nItems)
 		for i := range sample {
@@ -69,8 +85,9 @@ func oidsOf(ps []triples.Posting) string {
 // TestExecutorsAgreeExactly is the cross-executor oracle of the actor
 // refactor: with a fixed seed, lookups, batched multicasts, range queries,
 // inserts and deletes return identical results with identical hop counts and
-// message/byte costs under the direct, fanout and actor executors — and with
-// zero per-peer service time, identical simulated latency as well.
+// message/byte costs under the direct executor, the critical-path reference
+// and the actor executor — and with zero per-peer service time the actor's
+// simulated latency equals the critical-path reference's.
 func TestExecutorsAgreeExactly(t *testing.T) {
 	const (
 		nPeers = 48
@@ -131,9 +148,9 @@ func TestExecutorsAgreeExactly(t *testing.T) {
 	}
 
 	base := run(grids["direct"])
-	fanout := run(grids["fanout"])
+	critical := run(grids["critical"])
 	actor := run(grids["actor"])
-	for mode, got := range map[string][]obs{"fanout": fanout, "actor": actor} {
+	for mode, got := range map[string][]obs{"critical": critical, "actor": actor} {
 		if len(got) != len(base) {
 			t.Fatalf("%s: %d observations, want %d", mode, len(got), len(base))
 		}
@@ -163,12 +180,12 @@ func TestExecutorsAgreeExactly(t *testing.T) {
 		}
 	}
 	// With zero per-peer service time the actor timeline models the same
-	// critical path the fanout executor computes arithmetically: simulated
+	// critical path the reference fabric computes arithmetically: simulated
 	// latency must match to the microsecond, operation by operation.
-	for i := range fanout {
-		if actor[i].tally.Latency != fanout[i].tally.Latency {
-			t.Errorf("actor op %d: latency %d, fanout computed %d",
-				i, actor[i].tally.Latency, fanout[i].tally.Latency)
+	for i := range critical {
+		if actor[i].tally.Latency != critical[i].tally.Latency {
+			t.Errorf("actor op %d: latency %d, critical path computed %d",
+				i, actor[i].tally.Latency, critical[i].tally.Latency)
 		}
 	}
 }
@@ -199,8 +216,8 @@ func TestActorReportsQueueingUnderSaturation(t *testing.T) {
 		}
 		queue[mode] = tally.Snapshot().Queue
 	}
-	if queue["direct"] != 0 || queue["fanout"] != 0 {
-		t.Errorf("arithmetic executors report queueing: direct=%d fanout=%d", queue["direct"], queue["fanout"])
+	if queue["direct"] != 0 || queue["critical"] != 0 {
+		t.Errorf("arithmetic executors report queueing: direct=%d critical=%d", queue["direct"], queue["critical"])
 	}
 	if queue["actor"] == 0 {
 		t.Error("actor executor reports no queueing delay under a saturating reply fan-in")

@@ -382,8 +382,8 @@ func (h *hasher) hashHiPrefix(k keys.Key) keys.Key {
 }
 
 // Grid is a fully constructed P-Grid overlay. The net field is the sending
-// surface (simnet.Fabric): the synchronous shared-memory simulator or the
-// concurrent asyncnet runtime — query code is identical under both.
+// surface (simnet.Fabric): the synchronous shared-memory simulator, or a
+// test's stand-in for it.
 //
 // Membership state lives in an atomically published epoch (see epoch.go):
 // queries are safe concurrently with Join, Leave and RefreshRefs.

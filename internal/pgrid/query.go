@@ -16,10 +16,10 @@ import (
 //
 // The operators themselves run on a pluggable executor (see exec.go): the
 // chained executor walks the trie with direct calls and virtual-time
-// arithmetic (the paper's shared-memory model, serial or goroutine-parallel
-// per the fabric), while the actor executor runs every routing step, shower
-// split and result return as a message handler on a discrete-event runtime
-// with per-peer mailboxes and service times (actor.go).
+// arithmetic (the paper's shared-memory model), while the actor executor
+// runs every routing step, shower split and result return as a message
+// handler on a discrete-event runtime with per-peer mailboxes and service
+// times (actor.go).
 
 // cursor is branch-local virtual time and forwarding depth, threaded through
 // routing and fan-out. Sequential hops chain the cursor; parallel branches

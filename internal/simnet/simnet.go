@@ -8,21 +8,15 @@
 // is routed through a Fabric's Send, which performs the accounting (global
 // collector plus an optional per-query tally) and applies failure injection.
 //
-// Two fabrics implement the sending surface:
-//
-//   - *Network (this package) is the paper's simulator: delivery is a direct
-//     function call on the calling goroutine and logically parallel query
-//     branches execute serially (Fanout chains them), so simulated latency
-//     accumulates along the whole execution.
-//   - asyncnet.Net wraps a *Network and executes fan-out branches on
-//     concurrent goroutines, so sibling branches share their fork time and
-//     simulated latency follows the critical path.
+// *Network is the paper's simulator: delivery is a direct function call on
+// the calling goroutine and logically parallel query branches execute
+// serially (Fanout chains them), so simulated latency accumulates along the
+// whole execution. Critical-path latency comes from pgrid's actor executor,
+// which runs the operators on the asyncnet discrete-event runtime.
 //
 // Virtual time is pure arithmetic threaded through the call structure:
 // SendTimed maps a departure time to an arrival time using the configured
-// latency model, and Fanout defines whether sibling branches chain (serial)
-// or overlap (concurrent). The same overlay code therefore measures both
-// execution models without change.
+// latency model, and Fanout chains sibling branches.
 package simnet
 
 import (
@@ -89,15 +83,15 @@ type TraceEvent struct {
 }
 
 // LatencyFunc models the propagation delay of one message. It must be safe
-// for concurrent use and deterministic in its arguments so sync and async
+// for concurrent use and deterministic in its arguments so direct and actor
 // runs of the same workload observe identical per-message delays
 // (asyncnet.LatencyModel provides seeded implementations).
 type LatencyFunc func(from, to NodeID, size int) VTime
 
-// Fabric is the message-sending surface the overlay is written against. Both
-// the synchronous shared-memory simulator (*Network) and the concurrent
-// asynchronous runtime (asyncnet.Net) implement it, so pgrid, ops and plan
-// run unchanged under either execution model.
+// Fabric is the message-sending surface the overlay is written against.
+// *Network is its one production implementation; the interface remains as
+// the seam through which a test installs a fake fabric (for instance one
+// whose Fanout overlaps branches, as a critical-path reference).
 type Fabric interface {
 	// Size reports the number of registered nodes.
 	Size() int
@@ -120,10 +114,8 @@ type Fabric interface {
 	SendTimed(t *metrics.Tally, from, to NodeID, m Message, depart VTime) (VTime, error)
 	// Fanout executes branches logically starting at start and returns the
 	// completion time of the whole group. The serial fabric runs branch i+1
-	// only after branch i completes (its start is the predecessor's end);
-	// the concurrent fabric starts every branch at start on its own
-	// goroutine and returns the maximum end. Each branch must return its
-	// own completion time (>= its start).
+	// only after branch i completes (its start is the predecessor's end).
+	// Each branch must return its own completion time (>= its start).
 	Fanout(start VTime, branches int, run func(i int, start VTime) VTime) VTime
 }
 

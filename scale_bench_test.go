@@ -81,13 +81,13 @@ func BenchmarkLoadAtScale(b *testing.B) {
 
 // BenchmarkQueryAtScale is the BENCH_10 query headline: similarity-query
 // throughput on a grid 16x the BENCH_8 peer count (4096 vs 256) with 5x the
-// tuples, across all three executors. Leaf lookups ride the chunked epoch
+// tuples, on both executors. Leaf lookups ride the chunked epoch
 // tables, so per-query cost must stay within the same order as the small grid.
 func BenchmarkQueryAtScale(b *testing.B) {
 	const peers = 4096
 	corpus := dataset.BibleWords(20000, 1)
 	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor} {
+	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		b.Run(fmt.Sprintf("peers=%d/%s", peers, mode), func(b *testing.B) {
 			eng, err := core.Open(tuples, core.Config{
 				Peers:   peers,

@@ -18,12 +18,12 @@ func matchKey(m ops.Match) string {
 
 // TestLSHSchemeCrossExecutorOracle pins the LSH scheme to the same
 // cross-executor determinism contract as q-grams: identical results,
-// messages and hops on direct, fanout and actor executors.
+// messages and hops on the direct and actor executors.
 func TestLSHSchemeCrossExecutorOracle(t *testing.T) {
 	corpus := dataset.BibleWords(300, 7)
 	tuples := dataset.StringTuples("word", "o", corpus)
 	var prints []string
-	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor}
+	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor}
 	for _, mode := range modes {
 		eng, err := core.Open(tuples, core.Config{Peers: 64, Runtime: mode, Scheme: keyscheme.KindLSH})
 		if err != nil {

@@ -95,13 +95,13 @@ func schemeOracleFingerprint(t *testing.T, eng *core.Engine, corpus []string) st
 // TestQGramSchemeOracleGoldens pins the q-gram scheme's observable behavior
 // to goldens captured before the KeyScheme refactor: identical results,
 // message counts, hop counts, byte counts and per-family posting counts on
-// all three executors. Any divergence means the refactor changed the scheme's
+// both executors. Any divergence means the refactor changed the scheme's
 // behavior rather than merely relocating it behind the interface.
 func TestQGramSchemeOracleGoldens(t *testing.T) {
 	corpus := dataset.BibleWords(300, 7)
 	tuples := dataset.StringTuples("word", "o", corpus)
 	var prints []string
-	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeFanout, core.RuntimeActor}
+	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor}
 	for _, mode := range modes {
 		eng, err := core.Open(tuples, core.Config{Peers: 64, Runtime: mode})
 		if err != nil {
