@@ -22,7 +22,6 @@ import (
 	"repro/internal/keyscheme"
 	"repro/internal/metrics"
 	"repro/internal/ops"
-	"repro/internal/pgrid"
 	"repro/internal/simnet"
 	"repro/internal/triples"
 )
@@ -409,86 +408,11 @@ func BenchmarkVQLEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoad measures the load phase itself — the cost the paper
-// treats as free but which dominates experiment wall-clock (this file caches
-// engines for exactly that reason). Three variants load the bible corpus
-// into 256- and 1024-peer overlays:
-//
-//   - legacy-serial: the pre-pipeline double pass (throwaway sampler store
-//     for CollectKeys, then per-tuple LoadTuple with one BulkInsert per
-//     posting) — the baseline the ≥2x acceptance criterion compares against;
-//   - pipeline/workers=1: the one-pass planner plus sharded batch apply,
-//     run serially;
-//   - pipeline/workers=ncpu: the same pipeline at GOMAXPROCS workers.
-//
-// tuples/s and postings/s are the throughput metrics tracked in
-// BENCH_4.json; allocations are reported because gram expansion is the load
-// hot spot.
-func BenchmarkBulkLoad(b *testing.B) {
-	corpus := dataset.BibleWords(benchWords, 1)
-	tuples := dataset.StringTuples("word", "o", corpus)
-
-	var postings int64
-	legacy := func(b *testing.B, peers int) {
-		net := simnet.New(peers)
-		sample, err := ops.NewStore(nil, ops.StoreConfig{}).CollectKeys(tuples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		grid, err := pgrid.Build(net, peers, sample, pgrid.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		store := ops.NewStore(grid, ops.StoreConfig{})
-		for _, tu := range tuples {
-			if err := store.LoadTuple(tu); err != nil {
-				b.Fatal(err)
-			}
-		}
-		postings = store.Stats().Postings
-	}
-	pipeline := func(workers int) func(*testing.B, int) {
-		return func(b *testing.B, peers int) {
-			eng, err := core.Open(tuples, core.Config{Peers: peers, LoadWorkers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			postings = eng.Stats().Storage.Postings
-		}
-	}
-
-	variants := []struct {
-		name string
-		load func(*testing.B, int)
-	}{
-		{"legacy-serial", legacy},
-		{"pipeline/workers=1", pipeline(1)},
-		// "ncpu" = GOMAXPROCS; kept symbolic so the name is stable across
-		// machines (on a single-core host it degenerates to the serial
-		// pipeline, and the speedup over legacy-serial is purely algorithmic).
-		{"pipeline/workers=ncpu", pipeline(0)},
-	}
-	for _, peers := range []int{256, 1024} {
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("bible/%d/%s", peers, v.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					v.load(b, peers)
-				}
-				secs := b.Elapsed().Seconds()
-				if secs > 0 {
-					b.ReportMetric(float64(len(tuples)*b.N)/secs, "tuples/s")
-					b.ReportMetric(float64(postings)*float64(b.N)/secs, "postings/s")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSchemeExtract measures the key-scheme seam per scheme (the
-// BENCH_7.json baseline, comparable with BENCH_4.json's pipeline rows):
+// BENCH_7.json baseline):
 //
-//   - extract: the planning pass alone (PlanLoad at GOMAXPROCS workers) —
+//   - extract: the planning pass alone (PlanLoadStream at GOMAXPROCS workers,
+//     one window) —
 //     entry extraction through Scheme.ValueEntries/AttrEntries is its CPU
 //     hot spot, so this isolates the per-scheme expansion cost (gram
 //     expansion vs MinHash signatures);
@@ -503,7 +427,7 @@ func BenchmarkSchemeExtract(b *testing.B) {
 			b.ReportAllocs()
 			var postings int
 			for i := 0; i < b.N; i++ {
-				p, err := ops.PlanLoad(tuples, ops.StoreConfig{Scheme: kind}, 0)
+				p, err := ops.PlanLoadStream(tuples, ops.StoreConfig{Scheme: kind}, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,28 +27,28 @@ func bulkLoadCorpus() []triples.Tuple {
 	return tuples
 }
 
-// legacySerialEngine reproduces the pre-pipeline load path verbatim: a
-// throwaway sampler store collects the balancing keys, then every tuple is
-// loaded through LoadTuple, one routed-free BulkInsert per posting.
-func legacySerialEngine(t testing.TB, tuples []triples.Tuple, peers int) (*ops.Store, *simnet.Network) {
+// routedEngine is the load oracle's reference: a direct-executor grid built
+// from the plan's balancing sample, with every tuple written through the
+// routed InsertTuple, the path runtime writes take.
+func routedEngine(t testing.TB, tuples []triples.Tuple, peers int) *ops.Store {
 	t.Helper()
-	net := simnet.New(peers)
-	sample, err := ops.NewStore(nil, ops.StoreConfig{}).CollectKeys(tuples)
+	plan, err := ops.PlanLoadStream(tuples, ops.StoreConfig{}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := pgrid.Build(net, peers, sample, pgrid.DefaultConfig())
+	net := simnet.New(peers)
+	grid, err := pgrid.Build(net, peers, plan.SampleKeys(), pgrid.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := ops.NewStore(grid, ops.StoreConfig{})
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
+	for i, tu := range tuples {
+		if err := store.InsertTuple(nil, simnet.NodeID(i%peers), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	net.Collector().Reset()
-	return store, net
+	return store
 }
 
 // bulkLoadProbe renders a deterministic query battery against a store:
@@ -86,30 +86,42 @@ func bulkLoadProbe(t testing.TB, store *ops.Store, peers int) []string {
 	return out
 }
 
-// TestBulkLoadEquivalenceOracle is the acceptance oracle of the sharded
-// parallel bulk load: for every executor (direct, actor) and for
-// serial and parallel worker counts, an engine loaded through the pipeline
-// must expose identical storage statistics and identical query results to
-// the legacy serial double-pass load. Run under -race this also exercises
-// LoadWorkers > 1 for data races.
+// TestBulkLoadEquivalenceOracle is the acceptance oracle of the bulk load:
+// for every executor (direct, actor), for serial and parallel worker counts
+// and for a budget that splits the load into several windows, an engine
+// loaded through core.Open must expose identical storage statistics and
+// identical query results to one whose every tuple went through the routed
+// InsertTuple. Run under -race this also exercises LoadWorkers > 1 for data
+// races.
 func TestBulkLoadEquivalenceOracle(t *testing.T) {
 	const peers = 128
 	tuples := bulkLoadCorpus()
 
-	refStore, _ := legacySerialEngine(t, tuples, peers)
+	refStore := routedEngine(t, tuples, peers)
 	refStats := refStore.Stats()
 	refGrid := refStore.Grid().Stats()
 	refProbe := bulkLoadProbe(t, refStore, peers)
 
 	modes := []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor}
 	for _, mode := range modes {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+		for _, row := range []struct {
+			name    string
+			workers int
+			budget  int64
+		}{
+			{"workers=1", 1, 0},
+			{"workers=8", 8, 0},
+			{"windowed", 8, 1 << 20},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", mode, row.name), func(t *testing.T) {
 				eng, err := core.Open(tuples, core.Config{
-					Peers: peers, Runtime: mode, LoadWorkers: workers,
+					Peers: peers, Runtime: mode, LoadWorkers: row.workers, LoadBudget: row.budget,
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if w := eng.LoadInfo().Windows; row.budget > 0 && w < 3 {
+					t.Fatalf("budget %d loaded in %d windows, want at least 3", row.budget, w)
 				}
 				st := eng.Stats()
 				if !reflect.DeepEqual(st.Storage, refStats) {

@@ -202,7 +202,7 @@ func main() {
 		loadWorkers = flag.Int("load-workers", 0,
 			"bulk-load pipeline concurrency: 0 = GOMAXPROCS, 1 = serial (results are identical either way)")
 		loadBudget = flag.Int64("load-budget", 0,
-			"streaming load budget in bytes: cap on extracted index entries resident at once (0 = materialize the whole entry set; results are identical either way)")
+			"load budget in bytes: cap on extracted index entries resident at once (0 = one window holding the whole entry set; results are identical either way)")
 		latDist = flag.String("latency-dist", "uniform:10ms-100ms",
 			"per-link latency distribution: none, fixed:25ms, uniform:10ms-100ms, lognormal:20ms,0.5")
 		bandwidth = flag.String("bandwidth", "none",
@@ -357,13 +357,8 @@ func main() {
 			s.AvgRefs, s.StoredItems, s.MaxLeafItems,
 			loadWall.Round(time.Millisecond), postingsPerSec)
 		li := eng.LoadInfo()
-		if li.Budget > 0 {
-			fmt.Printf("load:     windows=%d budget=%s modeled-peak=%s rss-peak=%s\n",
-				li.Windows, fmtBytes(li.Budget), fmtBytes(li.PeakEntryBytes), fmtBytes(peakRSS()))
-		} else {
-			fmt.Printf("load:     materialized modeled-peak=%s rss-peak=%s\n",
-				fmtBytes(li.PeakEntryBytes), fmtBytes(peakRSS()))
-		}
+		fmt.Printf("load:     windows=%d budget=%s modeled-peak=%s rss-peak=%s\n",
+			li.Windows, fmtBytes(li.Budget), fmtBytes(li.PeakEntryBytes), fmtBytes(peakRSS()))
 		if opt.openLoop {
 			if err := runOpenLoop(eng, corpus, m, *rate, *zipf, *arrivals, *seed); err != nil {
 				fatal(fmt.Errorf("open-loop workload at %d peers: %w", n, err))

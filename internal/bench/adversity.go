@@ -139,17 +139,17 @@ func (a *Adversity) buildGrid(rep int, mode pgrid.ExecMode, retry bool) (*pgrid.
 	cfg.Retry = pgrid.RetryConfig{Enabled: retry}
 	net := simnet.New(a.Peers)
 	sample := make([]keys.Key, a.Items)
+	entries := make([]pgrid.BulkEntry, a.Items)
 	for i := range sample {
 		sample[i] = advKey(i)
+		entries[i] = pgrid.BulkEntry{Key: sample[i], Posting: advPosting(i)}
 	}
 	g, err := pgrid.Build(net, a.Peers, sample, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: building adversity grid (replication %d): %w", rep, err)
 	}
-	for i := 0; i < a.Items; i++ {
-		if err := g.BulkInsert(advKey(i), advPosting(i)); err != nil {
-			return nil, nil, err
-		}
+	if err := g.BulkLoad(entries, 1); err != nil {
+		return nil, nil, err
 	}
 	net.Collector().Reset()
 	return g, net, nil

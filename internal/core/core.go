@@ -119,10 +119,10 @@ type Config struct {
 	LoadWorkers int
 	// LoadBudget caps the modeled bytes of extracted index entries resident
 	// during the load (ops.PlanLoadStream): the planner windows the dataset
-	// and each window is extracted, sorted and applied before the next, so
-	// peak load memory is one window instead of the corpus. 0 materializes
-	// the whole entry set (the fastest path when it fits). The loaded state
-	// is byte-identical for every budget.
+	// and each window is extracted, sorted and applied on its own, so peak
+	// load memory is one window instead of the corpus. 0 = one window (the
+	// fastest path when it fits). The loaded state is byte-identical for
+	// every budget.
 	LoadBudget int64
 	// Trace, when non-nil, records every message lifecycle transition of the
 	// measured phase (wire sends on any runtime; the full
@@ -218,9 +218,10 @@ type Engine struct {
 // LoadInfo summarizes the load phase's memory shape, for reporting peak
 // usage against the streaming budget.
 type LoadInfo struct {
-	// Windows is the streaming window count (0 = one materialized batch).
+	// Windows is the load's window count: 1 for any non-empty dataset
+	// under budget 0, 0 for an empty one.
 	Windows int
-	// Budget is the configured streaming byte budget (0 = materializing).
+	// Budget is the configured byte budget (0 = one window).
 	Budget int64
 	// PeakEntryBytes is the modeled high-water mark of resident extracted
 	// entries — deterministic, unlike allocator measurements.
@@ -234,19 +235,20 @@ type LoadInfo struct {
 // mode, so direct and actor engines over the same data answer queries with
 // identical results and message counts.
 //
-// Loading runs the sharded bulk-load pipeline: one planning pass extracts
-// every tuple's index entries exactly once across cfg.LoadWorkers workers
-// (the extracted keys double as the balancing sample), then Grid.BulkLoad
-// shards the entries by responsible partition and applies each shard as one
-// sorted batch. The loaded state is byte-identical to a serial per-tuple
-// load for every worker count, so results stay deterministic.
+// Loading runs the sharded bulk-load pipeline: a planning pass extracts
+// every tuple's index entries across cfg.LoadWorkers workers, window by
+// window under cfg.LoadBudget (the extracted keys double as the balancing
+// sample), then Grid.BulkLoad shards each window's entries by responsible
+// partition and applies each shard as one sorted batch. The loaded state is
+// byte-identical to routing every tuple through InsertTuple, for every
+// worker count and budget, so results stay deterministic.
 func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 	cfg.normalize()
 	net := simnet.New(cfg.Peers)
 	net.SetLatency(asyncnet.Func(cfg.Latency))
 	plan, err := ops.PlanLoadStream(data, cfg.Store, cfg.LoadWorkers, cfg.LoadBudget)
 	if err != nil {
-		return nil, fmt.Errorf("core: collecting keys: %w", err)
+		return nil, fmt.Errorf("core: planning load: %w", err)
 	}
 	grid, err := pgrid.Build(net, cfg.Peers, plan.SampleKeys(), cfg.Grid)
 	if err != nil {

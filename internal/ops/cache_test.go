@@ -157,8 +157,8 @@ func TestCacheSurvivesMembership(t *testing.T) {
 	gcfg := pgrid.DefaultConfig()
 	gcfg.Replication = 2 // a graceful leave needs a replica to stay behind
 	words := testWords(200)
-	cached := newFixtureOnGrid(t, 24, words, gcfg)
-	twin := newFixtureOnGrid(t, 24, words, gcfg)
+	cached := wordFixture(t, 24, words, StoreConfig{}, gcfg)
+	twin := wordFixture(t, 24, words, StoreConfig{}, gcfg)
 	cached.store.EnableCache(CacheConfig{})
 	opts := SimilarOptions{}
 	needle := words[23]
@@ -282,39 +282,7 @@ func lossyFixture(t *testing.T, nPeers int, words []string) *fixture {
 	gcfg := pgrid.DefaultConfig()
 	gcfg.Replication = 2
 	gcfg.Retry = pgrid.RetryConfig{Enabled: true, MaxAttempts: 2, Backoff: 1}
-	return newFixtureOnGrid(t, nPeers, words, gcfg)
-}
-
-// newFixtureOnGrid is newFixtureFromWords with a caller-chosen grid
-// configuration (replication, retry policy).
-func newFixtureOnGrid(t *testing.T, nPeers int, words []string, gcfg pgrid.Config) *fixture {
-	t.Helper()
-	var tuples []triples.Tuple
-	oids := map[string]string{}
-	for i, w := range words {
-		oid := fmt.Sprintf("w%05d", i)
-		oids[oid] = w
-		tuples = append(tuples, triples.MustTuple(oid, "word", w))
-	}
-	net := simnet.New(nPeers)
-	cfg := StoreConfig{}
-	tmp := NewStore(nil, cfg)
-	sample, err := tmp.CollectKeys(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := pgrid.Build(net, nPeers, sample, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore(grid, cfg)
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Collector().Reset()
-	return &fixture{store: store, net: net, words: words, oids: oids}
+	return wordFixture(t, nPeers, words, StoreConfig{}, gcfg)
 }
 
 // TestCacheSkipsDegradedAnswers: an answer assembled while probes went

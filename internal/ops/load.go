@@ -1,17 +1,29 @@
-// One-pass bulk-load planning.
-//
-// core.Open used to traverse the dataset twice — once through a throwaway
-// nil-grid store to collect the balancing sample, then again through
-// LoadTuple to push postings one BulkInsert at a time. A LoadPlan extracts
-// every tuple's index entries exactly once, across a worker pool, and the
-// extracted entries serve as both the balancing sample (their keys, catalog
-// postings excluded, exactly as CollectKeys sampled) and the load payload
-// (Grid.BulkLoad applies them sharded by partition). Entry extraction — the
-// key scheme's gram or signature expansion above all — is the CPU hot spot
-// of the load phase, so the parallel pass chunks triples contiguously and
-// each worker reuses one extractScratch (scheme buffers plus the bounded
-// attribute-entry cache).
 package ops
+
+// Bulk loading: the one way a dataset enters a grid (core.Open runs it).
+//
+// PlanLoadStream makes one planning pass. It decomposes and validates every
+// tuple serially, so errors are deterministic whatever the worker count. It
+// splits the triple stream into contiguous windows whose modeled entry
+// footprint fits a byte budget (a budget <= 0 is one window) and extracts
+// each window across a worker pool. Entry extraction, above all the key
+// scheme's gram or signature expansion, is the CPU hot spot of the load, so
+// workers take contiguous triple chunks and each reuses one extractScratch
+// (scheme buffers plus the bounded attribute-entry cache). The extracted
+// keys, catalog postings excluded, are the balancing sample grid
+// construction needs. The planner drops each window's entries again, except
+// those of the last window, which it sorts by (key, posting) and keeps.
+//
+// ApplyLoadPlan applies the kept window first, then re-extracts, sorts and
+// bulk-loads the other windows one at a time, so at most one window of
+// entries is resident. With one window this is one extraction and one sort,
+// and the sample aliases the sorted entries' keys.
+//
+// Stores come out byte-identical for any budget and worker count: every
+// window is sorted by (key, posting), the order stores keep, and
+// Grid.BulkLoad merges each window into the stores in that order. The sample
+// is the same key multiset however the data is windowed (grid construction
+// sorts it), and counts and attributes are order-free.
 
 import (
 	"cmp"
@@ -26,30 +38,49 @@ import (
 	"repro/internal/triples"
 )
 
-// LoadPlan is the product of one planning pass over a dataset: every index
-// entry each triple will occupy — sorted by (key, posting), the order peer
-// stores keep — plus the derived balancing sample and storage statistics.
-// Plans are immutable once built; the same plan loads identically for any
-// worker count.
-type LoadPlan struct {
-	cfg     StoreConfig
-	entries []pgrid.BulkEntry
-	sample  []keys.Key
-	counts  map[triples.IndexKind]int64
-	attrs   map[string]bool
-	loaded  int64
-	// stream, when non-nil, marks a budgeted plan (PlanLoadStream): entries
-	// is empty and the apply pass re-extracts window by window instead.
-	stream *streamPlan
+// entryFootprint models the resident bytes one extracted entry costs:
+// the BulkEntry struct (key header + posting) plus the key's packed-byte
+// backing and the posting payload it pins. It is a deterministic planning
+// constant — window boundaries and the reported peak must not depend on
+// allocator behavior.
+const entryFootprint = 160
+
+// loadWindow is one contiguous triple range of a plan.
+type loadWindow struct {
+	lo, hi int
 }
 
-// PlanLoad extracts the full index-entry set of the dataset in one pass,
-// using up to `workers` extraction goroutines (<= 0 means GOMAXPROCS).
-// Decomposition and validation run serially first, so error reporting is
-// deterministic regardless of the worker count; entries come out in (key,
-// posting) order, so loading the plan stores postings exactly as a serial
-// LoadTuple loop would.
-func PlanLoad(data []triples.Tuple, cfg StoreConfig, workers int) (*LoadPlan, error) {
+// LoadPlan is the product of one planning pass over a dataset: the
+// decomposed triples and their window schedule, the sorted entries of the
+// last window, the balancing sample, and the storage statistics the load
+// will produce.
+type LoadPlan struct {
+	cfg     StoreConfig
+	sch     keyscheme.Scheme
+	ts      []triples.Triple
+	newAttr []bool
+	budget  int64
+	windows []loadWindow
+	// entries holds the last window's entries sorted by (key, posting), the
+	// order peer stores keep. ApplyLoadPlan applies them first and drops
+	// them; a later apply of the same plan re-extracts that window too.
+	entries  []pgrid.BulkEntry
+	sample   []keys.Key
+	counts   map[triples.IndexKind]int64
+	attrs    map[string]bool
+	postings int
+	// peakBytes is the modeled high-water mark of resident extracted entries
+	// across planning and apply (one window at a time).
+	peakBytes int64
+}
+
+// PlanLoadStream plans the load of a dataset, keeping at most `budget`
+// modeled bytes of extracted entries resident (<= 0: the whole dataset is
+// one window), with up to `workers` extraction goroutines (<= 0 means
+// GOMAXPROCS). Budgets smaller than one triple's extraction still admit one
+// triple per window. The loaded store is byte-identical for any budget and
+// worker count.
+func PlanLoadStream(data []triples.Tuple, cfg StoreConfig, workers int, budget int64) (*LoadPlan, error) {
 	cfg.normalize()
 	sch, err := keyscheme.New(cfg.Scheme, cfg.schemeParams())
 	if err != nil {
@@ -58,55 +89,92 @@ func PlanLoad(data []triples.Tuple, cfg StoreConfig, workers int) (*LoadPlan, er
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	budget = max(budget, 0)
 
 	ts, newAttr, attrs, err := decomposeAll(data)
 	if err != nil {
 		return nil, err
 	}
-
-	p := &LoadPlan{cfg: cfg, counts: make(map[triples.IndexKind]int64), attrs: attrs,
-		loaded: int64(len(ts))}
-	if len(ts) == 0 {
-		return p, nil
-	}
-	flat := extractRange(ts, newAttr, 0, len(ts), &cfg, sch, workers)
-	total := len(flat)
-
-	// Pre-sort the entries by (key, posting) (an index sort: moving 4-byte
-	// indices beats shuffling 100+-byte entries, and the permutation is
-	// applied in place — entries are ~128 bytes, so a second array would
-	// double the load's allocation footprint). Downstream this one sort does
-	// triple duty: grid construction re-sorts the sample in near-linear time,
-	// BulkLoad resolves partition responsibility by linear merge instead of
-	// per-key binary search, and shard batches apply without any further
-	// sorting. Stores order equal keys by posting too, so they come out
-	// byte-identical to a serial load.
-	idx := make([]int32, total)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	radixSortEntryIdxPar(flat, idx, workers)
-	permuteEntries(flat, idx)
-	p.entries = flat
-
-	// The balancing sample is every entry key except catalog postings, the
-	// same multiset CollectKeys produced (IndexKeys samples with
-	// newAttr=false so sampling is independent of data order).
-	p.sample = make([]keys.Key, 0, total)
-	for i := range p.entries {
-		kind := p.entries[i].Posting.Index
-		p.counts[kind]++
-		if kind != triples.IndexCatalog {
-			p.sample = append(p.sample, p.entries[i].Key)
+	p := &LoadPlan{cfg: cfg, sch: sch, ts: ts, newAttr: newAttr, budget: budget,
+		windows: windowTriples(sch, ts, budget),
+		counts:  make(map[triples.IndexKind]int64), attrs: attrs}
+	for i, w := range p.windows {
+		entries := p.extract(w, workers)
+		p.postings += len(entries)
+		p.peakBytes = max(p.peakBytes, int64(len(entries))*entryFootprint)
+		for j := range entries {
+			p.counts[entries[j].Posting.Index]++
 		}
+		if i == len(p.windows)-1 {
+			sortEntries(entries, workers)
+			p.entries = entries
+		}
+		p.sample = appendSample(p.sample, entries, len(p.windows) == 1)
 	}
 	return p, nil
+}
+
+// windowTriples splits ts into contiguous windows whose modeled entry
+// footprint fits budget; budget 0 is one window. Bounds come from the same
+// per-triple entry bound the extraction buffers use, so windowing is
+// deterministic and needs no trial extraction.
+func windowTriples(sch keyscheme.Scheme, ts []triples.Triple, budget int64) []loadWindow {
+	if len(ts) == 0 {
+		return nil
+	}
+	if budget == 0 {
+		return []loadWindow{{lo: 0, hi: len(ts)}}
+	}
+	var windows []loadWindow
+	lo := 0
+	var winBytes int64
+	for i := range ts {
+		b := int64(entryCountBound(sch, ts[i])) * entryFootprint
+		if i > lo && winBytes+b > budget {
+			windows = append(windows, loadWindow{lo: lo, hi: i})
+			lo, winBytes = i, 0
+		}
+		winBytes += b
+	}
+	return append(windows, loadWindow{lo: lo, hi: len(ts)})
+}
+
+// appendSample appends the balancing-sample keys of a window's entries —
+// every key but the catalog postings' — to sample. With alias set (one
+// window) the keys share the entries' backing. Otherwise they are compacted
+// into one exactly-sized arena per window: the sample does not pin a window
+// the planner drops, and the key bytes grid construction compares while it
+// sorts the sample stay contiguous instead of scattered across the kept
+// window's sorted entries.
+func appendSample(sample []keys.Key, entries []pgrid.BulkEntry, alias bool) []keys.Key {
+	sample = slices.Grow(sample, len(entries))
+	var arena []byte
+	if !alias {
+		n := 0
+		for i := range entries {
+			if entries[i].Posting.Index != triples.IndexCatalog {
+				n += entries[i].Key.PackedLen()
+			}
+		}
+		arena = make([]byte, 0, n)
+	}
+	for i := range entries {
+		if entries[i].Posting.Index == triples.IndexCatalog {
+			continue
+		}
+		k := entries[i].Key
+		if !alias {
+			k, arena = k.CloneInto(arena)
+		}
+		sample = append(sample, k)
+	}
+	return sample
 }
 
 // decomposeAll runs the serial decompose/validate pass: it flattens the
 // dataset into triples, resolves which triple first introduces each attribute
 // (that triple carries the catalog posting, exactly as markAttr resolves it
-// during a serial load), and reports errors deterministically regardless of
+// for a routed insert), and reports errors deterministically regardless of
 // any later worker count.
 func decomposeAll(data []triples.Tuple) ([]triples.Triple, []bool, map[string]bool, error) {
 	var (
@@ -141,18 +209,13 @@ func entryCountBound(sch keyscheme.Scheme, tr triples.Triple) int {
 	return est
 }
 
-// extractRange extracts the index entries of triples [lo, hi) in data order,
-// chunked contiguously across up to `workers` goroutines. The output is
-// identical for any worker count: chunks are contiguous triple ranges, their
-// outputs concatenate in chunk order, and per-triple extraction is
-// deterministic.
-func extractRange(ts []triples.Triple, newAttr []bool, lo, hi int,
-	cfg *StoreConfig, sch keyscheme.Scheme, workers int) []pgrid.BulkEntry {
-	n := hi - lo
-	nChunks := workers
-	if nChunks > n {
-		nChunks = n
-	}
+// extract extracts the index entries of one window in data order, chunked
+// contiguously across up to `workers` goroutines. The output is identical
+// for any worker count: chunks are contiguous triple ranges, their outputs
+// concatenate in chunk order, and per-triple extraction is deterministic.
+func (p *LoadPlan) extract(w loadWindow, workers int) []pgrid.BulkEntry {
+	n := w.hi - w.lo
+	nChunks := min(workers, n)
 	if n == 0 {
 		return nil
 	}
@@ -160,11 +223,8 @@ func extractRange(ts []triples.Triple, newAttr []bool, lo, hi int,
 	chunk := (n + nChunks - 1) / nChunks
 	var wg sync.WaitGroup
 	for c := 0; c < nChunks; c++ {
-		clo := lo + c*chunk
-		chi := clo + chunk
-		if chi > hi {
-			chi = hi
-		}
+		clo := w.lo + c*chunk
+		chi := min(clo+chunk, w.hi)
 		wg.Add(1)
 		go func(c, clo, chi int) {
 			defer wg.Done()
@@ -173,11 +233,11 @@ func extractRange(ts []triples.Triple, newAttr []bool, lo, hi int,
 			// extraction loop never regrows it.
 			est := 0
 			for i := clo; i < chi; i++ {
-				est += entryCountBound(sch, ts[i])
+				est += entryCountBound(p.sch, p.ts[i])
 			}
 			dst := make([]pgrid.BulkEntry, 0, est)
 			for i := clo; i < chi; i++ {
-				dst = appendTripleEntries(dst, cfg, sch, ts[i], newAttr[i], xs)
+				dst = appendTripleEntries(dst, &p.cfg, p.sch, p.ts[i], p.newAttr[i], xs)
 			}
 			outs[c] = dst
 		}(c, clo, chi)
@@ -195,6 +255,22 @@ func extractRange(ts []triples.Triple, newAttr []bool, lo, hi int,
 		flat = append(flat, out...)
 	}
 	return flat
+}
+
+// sortEntries sorts a window's entries by (key, posting) in place. It is an
+// index sort (moving 4-byte indices beats shuffling ~128-byte entries) whose
+// permutation is applied by cycle rotation, so no second entry array doubles
+// the load's allocation footprint. Downstream this one sort does triple
+// duty: grid construction re-sorts the sample in near-linear time, BulkLoad
+// resolves partition responsibility by linear merge instead of per-key
+// binary search, and shard batches apply without any further sorting.
+func sortEntries(es []pgrid.BulkEntry, workers int) {
+	idx := make([]int32, len(es))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	radixSortEntryIdxPar(es, idx, workers)
+	permuteEntries(es, idx)
 }
 
 // radixSortEntryIdx sorts idx — indices into es — by entry key, then
@@ -320,29 +396,38 @@ func (p *LoadPlan) SampleKeys() []keys.Key { return p.sample }
 
 // ReleaseSample drops the plan's balancing sample. The sample is dead weight
 // once the grid is built — at 10M postings it holds hundreds of megabytes of
-// key headers (and, for a streaming plan, their compacted byte arenas)
-// through the entire apply phase. Callers release it between grid
+// key headers and, for windows other than the last, their compacted byte
+// arenas — through the entire apply phase. Callers release it between grid
 // construction and ApplyLoadPlan; SampleKeys returns nil afterwards.
 func (p *LoadPlan) ReleaseSample() { p.sample = nil }
 
 // Triples reports the number of triples the plan covers.
-func (p *LoadPlan) Triples() int64 { return p.loaded }
+func (p *LoadPlan) Triples() int64 { return int64(len(p.ts)) }
 
 // Postings reports the number of index entries the plan will store.
-func (p *LoadPlan) Postings() int {
-	if p.stream != nil {
-		return p.stream.postings
-	}
-	return len(p.entries)
-}
+func (p *LoadPlan) Postings() int { return p.postings }
+
+// Windows reports the plan's window count: 1 for any non-empty dataset
+// under a budget <= 0, 0 for an empty one.
+func (p *LoadPlan) Windows() int { return len(p.windows) }
+
+// Budget reports the byte budget the plan was built with (0: one window).
+func (p *LoadPlan) Budget() int64 { return p.budget }
+
+// PeakEntryBytes reports the modeled high-water mark of resident extracted
+// entries: the largest window's footprint. Modeled (entry count × a fixed
+// per-entry footprint), so it is deterministic across runs and comparable
+// between budgets.
+func (p *LoadPlan) PeakEntryBytes() int64 { return p.peakBytes }
 
 // ApplyLoadPlan bulk-loads a plan into the store's grid with up to `workers`
-// concurrent shard appliers (<= 0 means GOMAXPROCS) and adopts the plan's
-// storage statistics and attribute set. It is intended for a freshly built
-// store over a grid balanced with the plan's SampleKeys; applying a plan to
-// a store that already holds data double-counts catalog postings for
-// attributes both have seen. The stored state is byte-identical to a serial
-// LoadTuple loop over the same data, for any worker count.
+// concurrent extraction goroutines and shard appliers (<= 0 means
+// GOMAXPROCS), and adopts the plan's storage statistics and attribute set.
+// It is intended for a freshly built store over a grid balanced with the
+// plan's SampleKeys; applying a plan to a store that already holds data
+// double-counts catalog postings for attributes both have seen. The stored
+// state equals that of a routed InsertTuple of every tuple, for any budget
+// and worker count.
 func (s *Store) ApplyLoadPlan(p *LoadPlan, workers int) error {
 	if p.cfg != s.cfg {
 		return fmt.Errorf("ops: plan built for store config %+v, store has %+v", p.cfg, s.cfg)
@@ -351,19 +436,26 @@ func (s *Store) ApplyLoadPlan(p *LoadPlan, workers int) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	defer s.clearCaches() // the write set is the whole plan
-	if p.stream != nil {
-		if err := s.applyStream(p, workers); err != nil {
-			return err
+	n := len(p.windows)
+	for i := range n {
+		// The last window goes first, with the entries the planner kept.
+		w := p.windows[(n-1+i)%n]
+		entries := p.entries
+		p.entries = nil
+		if entries == nil {
+			entries = p.extract(w, workers)
+			sortEntries(entries, workers)
 		}
-	} else if err := s.grid.BulkLoad(p.entries, workers); err != nil {
-		return fmt.Errorf("ops: applying load plan: %w", err)
+		if err := s.grid.BulkLoad(entries, workers); err != nil {
+			return fmt.Errorf("ops: applying load window [%d,%d): %w", w.lo, w.hi, err)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, v := range p.counts {
 		s.counts[k] += v
 	}
-	s.loaded += p.loaded
+	s.loaded += int64(len(p.ts))
 	for a := range p.attrs {
 		s.attrsSeen[a] = true
 	}

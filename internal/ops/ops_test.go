@@ -50,6 +50,13 @@ func testWords(nWords int) []string {
 
 func newFixtureFromWords(t testing.TB, nPeers int, words []string, cfg StoreConfig) *fixture {
 	t.Helper()
+	return wordFixture(t, nPeers, words, cfg, pgrid.DefaultConfig())
+}
+
+// wordFixture loads one "word" object per word into an nPeers grid of the
+// given configuration and keeps the brute-force oracle's oid map.
+func wordFixture(t testing.TB, nPeers int, words []string, cfg StoreConfig, gcfg pgrid.Config) *fixture {
+	t.Helper()
 	var tuples []triples.Tuple
 	oids := map[string]string{}
 	for i, w := range words {
@@ -57,24 +64,9 @@ func newFixtureFromWords(t testing.TB, nPeers int, words []string, cfg StoreConf
 		oids[oid] = w
 		tuples = append(tuples, triples.MustTuple(oid, "word", w))
 	}
-	net := simnet.New(nPeers)
-	tmp := NewStore(nil, cfg)
-	sample, err := tmp.CollectKeys(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := pgrid.Build(net, nPeers, sample, pgrid.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore(grid, cfg)
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Collector().Reset()
-	return &fixture{store: store, net: net, words: words, oids: oids}
+	f := loadOnGrid(t, nPeers, tuples, cfg, gcfg)
+	f.words, f.oids = words, oids
+	return f
 }
 
 // bruteSimilar returns the oids whose word is within edit distance d.
@@ -209,21 +201,25 @@ func TestSimilarSchemaLevel(t *testing.T) {
 
 func loadTuples(t testing.TB, nPeers int, tuples []triples.Tuple, cfg StoreConfig) *fixture {
 	t.Helper()
-	net := simnet.New(nPeers)
-	tmp := NewStore(nil, cfg)
-	sample, err := tmp.CollectKeys(tuples)
+	return loadOnGrid(t, nPeers, tuples, cfg, pgrid.DefaultConfig())
+}
+
+// loadOnGrid loads tuples the way core.Open does: plan, build an nPeers grid
+// over the plan's sample, apply the plan.
+func loadOnGrid(t testing.TB, nPeers int, tuples []triples.Tuple, cfg StoreConfig, gcfg pgrid.Config) *fixture {
+	t.Helper()
+	p, err := PlanLoadStream(tuples, cfg, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := pgrid.Build(net, nPeers, sample, pgrid.DefaultConfig())
+	net := simnet.New(nPeers)
+	grid, err := pgrid.Build(net, nPeers, p.SampleKeys(), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := NewStore(grid, cfg)
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
+	if err := store.ApplyLoadPlan(p, 1); err != nil {
+		t.Fatal(err)
 	}
 	net.Collector().Reset()
 	return &fixture{store: store, net: net}
@@ -683,8 +679,8 @@ func TestStoreRejectsInvalidTriples(t *testing.T) {
 		{OID: "x", Attr: "a", Val: triples.String("bad\x01byte")},
 	}
 	for _, tr := range bad {
-		if err := f.store.LoadTriple(tr); err == nil {
-			t.Errorf("LoadTriple(%v) accepted", tr)
+		if err := f.store.InsertTriple(nil, 0, tr); err == nil {
+			t.Errorf("InsertTriple(%v) accepted", tr)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package ops
 
 // Parallel top-level radix pass for the load planner's entry sort.
 //
-// The planner's MSD radix sort is the serial tail of PlanLoad once extraction
+// The planner's MSD radix sort is the serial tail of load planning once extraction
 // is parallel. The first pass is the expensive one — it touches every entry —
 // and it parallelizes without changing a single output byte: each worker
 // histograms a contiguous range of idx, a prefix sum over (bucket, worker)

@@ -18,7 +18,7 @@ func TestQGramEntryStreamChecksumGolden(t *testing.T) {
 	corpus := dataset.BibleWords(400, 11)
 	data := dataset.StringTuples("word", "w", corpus)
 	for _, workers := range []int{1, 4} {
-		p, err := PlanLoad(data, StoreConfig{}, workers)
+		p, err := PlanLoadStream(data, StoreConfig{}, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,10 +134,10 @@ type Store struct {
 	loaded    int64
 }
 
-// NewStore wraps a constructed grid. The grid should have been built with a
-// key sample from IndexKeys over the data to be loaded, so partitions balance.
-// It panics on an unknown cfg.Scheme; PlanLoad (which core.Open runs first)
-// reports the same condition as an error.
+// NewStore wraps a constructed grid. The grid should have been built with
+// the SampleKeys of a LoadPlan over the data to be loaded, so partitions
+// balance. It panics on an unknown cfg.Scheme; PlanLoadStream (which
+// core.Open runs first) reports the same condition as an error.
 func NewStore(grid *pgrid.Grid, cfg StoreConfig) *Store {
 	cfg.normalize()
 	return &Store{
@@ -271,73 +271,6 @@ func validateTriple(tr triples.Triple) error {
 		return err
 	}
 	return triples.ValidateValue(tr.Val)
-}
-
-// IndexKeys returns the storage keys a triple will occupy; grid construction
-// uses them as the balancing sample.
-func (s *Store) IndexKeys(tr triples.Triple) ([]keys.Key, error) {
-	if err := validateTriple(tr); err != nil {
-		return nil, err
-	}
-	// Catalog entries are negligible for balancing; pass newAttr=false so
-	// sampling stays independent of call order.
-	es := s.entriesForTriple(tr, false)
-	ks := make([]keys.Key, len(es))
-	for i, e := range es {
-		ks[i] = e.Key
-	}
-	return ks, nil
-}
-
-// CollectKeys returns the balancing sample for a whole dataset: every index
-// key of every triple of every tuple.
-func (s *Store) CollectKeys(tuples []triples.Tuple) ([]keys.Key, error) {
-	var out []keys.Key
-	for _, tu := range tuples {
-		ts, err := triples.Decompose(tu)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range ts {
-			ks, err := s.IndexKeys(tr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ks...)
-		}
-	}
-	return out, nil
-}
-
-// LoadTriple stores one triple without message accounting (the bulk-load
-// phase, whose cost the paper does not measure).
-func (s *Store) LoadTriple(tr triples.Triple) error {
-	if err := validateTriple(tr); err != nil {
-		return err
-	}
-	es := s.entriesForTriple(tr, s.markAttr(tr.Attr))
-	defer s.invalidate(es) // unaccounted, but still a write; deferred: the report follows the apply
-	for _, e := range es {
-		if err := s.grid.BulkInsert(e.Key, e.Posting); err != nil {
-			return fmt.Errorf("ops: loading %s: %w", tr, err)
-		}
-	}
-	s.recordEntries(es)
-	return nil
-}
-
-// LoadTuple bulk-loads a whole tuple.
-func (s *Store) LoadTuple(tu triples.Tuple) error {
-	ts, err := triples.Decompose(tu)
-	if err != nil {
-		return err
-	}
-	for _, tr := range ts {
-		if err := s.LoadTriple(tr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // InsertTriple stores one triple with routed, fully accounted messages (one

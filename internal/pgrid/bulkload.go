@@ -4,9 +4,9 @@ package pgrid
 //
 // The load phase dominates wall-clock time when building large engines (the
 // paper treats it as free, but every string triple fans out into ~8+ postings
-// replicated across a partition's members). BulkInsert pays, per posting, one
-// epoch snapshot, one hash, one leaf search and one per-store lock
-// acquisition. BulkLoad amortizes all four over a whole batch:
+// replicated across a partition's members). A routed insert pays, per
+// posting, one epoch snapshot, one hash, one leaf search and one per-store
+// lock acquisition. BulkLoad amortizes all four over a whole batch:
 //
 //  1. pre-hash: every key resolves to its responsible leaf through a
 //     rank→leaf table (one binary search over the hash anchors per key, one
@@ -14,17 +14,15 @@ package pgrid
 //  2. shard: a counting sort groups entry indices by leaf, preserving batch
 //     order within each shard;
 //  3. apply: one owner goroutine per partition sorts its shard by (key,
-//     posting) — the order every store keeps, so store iteration is
-//     byte-identical to a serial BulkInsert loop — and applies the batch to
-//     every member store under a single lock, bottom-up when the store is
-//     empty. Replicas alias the shard's key/posting slices; nothing is copied
-//     per member, and no two goroutines ever touch the same partition store,
-//     so there is no cross-shard lock contention.
+//     posting) — the order every store keeps — and merges the batch into
+//     every member store under a single lock, rebuilding the tree bottom-up.
+//     Replicas alias the shard's key/posting slices; nothing is copied per
+//     member, and no two goroutines ever touch the same partition store, so
+//     there is no cross-shard lock contention.
 //
-// Like BulkInsert, BulkLoad reads one membership epoch: it is safe
-// concurrently with queries, and a batch racing a split of the same
-// partition lands in the pre-split store only (the documented epoch
-// trade-off).
+// BulkLoad reads one membership epoch: it is safe concurrently with queries,
+// and a batch racing a split of the same partition lands in the pre-split
+// store only (the documented epoch trade-off).
 
 import (
 	"errors"
@@ -58,31 +56,18 @@ var ErrNoPartition = errors.New("pgrid: no partition covers key")
 // BulkLoad stores a batch of postings at every peer of each responsible
 // partition without routing or accounting, sharded by partition and applied
 // with at most `workers` concurrent goroutines (<= 0 means GOMAXPROCS). The
-// resulting stores are byte-identical to a serial BulkInsert of the same
-// entries, for any worker count and any batch order: stores order entries by
-// (key, posting), whichever way they arrive.
+// resulting stores hold exactly what a routed Insert of every entry leaves,
+// in the same order, for any worker count and any batch order: stores order
+// entries by (key, posting), whichever way they arrive. Every shard merges
+// into its stores by a bottom-up rebuild, so stores stay at bulk occupancy
+// across any number of batches.
 //
 // When the batch is already sorted by (key, posting) — the order
-// ops.PlanLoad emits — responsibility resolution degrades from one binary
-// search per entry to a linear merge against the hash anchors, and shard
-// batches skip their sort entirely (the counting sort preserves input
+// ops.PlanLoadStream emits — responsibility resolution degrades from one
+// binary search per entry to a linear merge against the hash anchors, and
+// shard batches skip their sort entirely (the counting sort preserves input
 // order).
 func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
-	return g.bulkLoad(entries, workers, false)
-}
-
-// BulkLoadCompact is BulkLoad with every shard applied through an
-// unconditional merge-rebuild, so member stores come out at bulk occupancy
-// even when a shard is small relative to the store it lands in. Streaming
-// loads use it for every window: per-entry insert fallbacks across many
-// windows would split-fragment the trees to roughly twice their compact
-// resident size. Stored contents and iteration order are identical to
-// BulkLoad's.
-func (g *Grid) BulkLoadCompact(entries []BulkEntry, workers int) error {
-	return g.bulkLoad(entries, workers, true)
-}
-
-func (g *Grid) bulkLoad(entries []BulkEntry, workers int, compact bool) error {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -198,7 +183,7 @@ func (g *Grid) bulkLoad(entries []BulkEntry, workers int, compact bool) error {
 		go func() {
 			defer wg.Done()
 			for li := range work {
-				g.applyShard(v, li, entries, order[offs[li]:offs[li+1]], sorted, sortWorkers, compact)
+				g.applyShard(v, li, entries, order[offs[li]:offs[li+1]], sorted, sortWorkers)
 			}
 		}()
 	}
@@ -212,12 +197,12 @@ func (g *Grid) bulkLoad(entries []BulkEntry, workers int, compact bool) error {
 	return nil
 }
 
-// applyShard applies one partition's shard of entry indices to every member
+// applyShard merges one partition's shard of entry indices into every member
 // store as a single batch sorted by (key, posting), the stores' own order.
 // Pre-sorted batches need no re-sort — the counting sort preserved input
 // order. Members read the shared shard through an index closure; nothing is
 // copied per replica.
-func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32, sorted bool, sortWorkers int, compact bool) {
+func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32, sorted bool, sortWorkers int) {
 	if !sorted {
 		sortShard(entries, shard, sortWorkers)
 	}
@@ -226,12 +211,7 @@ func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32, s
 		return e.Key, e.Posting
 	}
 	for _, id := range v.leaves.at(li).peers {
-		p := v.peers.at(id)
-		if compact {
-			p.localMergeBatchSortedFunc(len(shard), at)
-		} else {
-			p.localPutBatchSortedFunc(len(shard), at)
-		}
+		v.peers.at(id).localMergeSorted(len(shard), at)
 	}
 }
 

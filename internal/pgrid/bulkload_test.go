@@ -23,11 +23,26 @@ func bulkEntries(n int) []BulkEntry {
 	return out
 }
 
+// sameStores fails the test unless every peer store of got holds exactly
+// what the same peer of want holds, in the same order, duplicate-key ties
+// included.
+func sameStores(t *testing.T, got, want *Grid, nPeers int) {
+	t.Helper()
+	for id := 0; id < nPeers; id++ {
+		gp, _ := got.Peer(simnet.NodeID(id))
+		wp, _ := want.Peer(simnet.NodeID(id))
+		gs, ws := gp.allPostings(), wp.allPostings()
+		if !slices.EqualFunc(gs.keys, ws.keys, keys.Key.Equal) || !slices.Equal(gs.postings, ws.postings) {
+			t.Fatalf("peer %d: store of %d entries differs from the reference's %d", id, gs.size, ws.size)
+		}
+	}
+}
+
 // TestBulkLoadMatchesSerialBulkInsert is the package-level equivalence
 // oracle: for several worker counts, BulkLoad must leave every peer store
 // byte-identical — same length, same iteration order including duplicate-key
-// ties — to a serial BulkInsert loop over the same entries, and lookups must
-// return identical postings.
+// ties — to a routed Insert of every entry, the write path the rest of the
+// system uses, and lookups must return identical postings.
 func TestBulkLoadMatchesSerialBulkInsert(t *testing.T) {
 	const nPeers, nItems = 64, 4000
 	entries := bulkEntries(nItems)
@@ -47,8 +62,8 @@ func TestBulkLoadMatchesSerialBulkInsert(t *testing.T) {
 	}
 
 	ref, _ := build()
-	for _, e := range entries {
-		if err := ref.BulkInsert(e.Key, e.Posting); err != nil {
+	for i, e := range entries {
+		if err := ref.Insert(nil, simnet.NodeID(i%nPeers), e.Key, e.Posting); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,21 +74,8 @@ func TestBulkLoadMatchesSerialBulkInsert(t *testing.T) {
 			if err := g.BulkLoad(entries, workers); err != nil {
 				t.Fatal(err)
 			}
-			for id := 0; id < nPeers; id++ {
-				want, _ := ref.Peer(simnet.NodeID(id))
-				got, _ := g.Peer(simnet.NodeID(id))
-				if got.StoreLen() != want.StoreLen() {
-					t.Fatalf("peer %d: store len %d, want %d", id, got.StoreLen(), want.StoreLen())
-				}
-				wp := want.allPostings()
-				gp := got.allPostings()
-				for i := range wp.keys {
-					if !gp.keys[i].Equal(wp.keys[i]) || gp.postings[i] != wp.postings[i] {
-						t.Fatalf("peer %d: store diverges at entry %d", id, i)
-					}
-				}
-			}
-			// Routed lookups agree too (messages and results).
+			sameStores(t, g, ref, nPeers)
+			// Routed lookups agree too.
 			for i := 0; i < 50; i++ {
 				k := testKey(i * 17 % (nItems/3 + 1))
 				want, err := ref.Lookup(nil, simnet.NodeID(i%nPeers), k)
@@ -128,20 +130,13 @@ func TestBulkLoadOrdersTiesByPosting(t *testing.T) {
 		return g
 	}
 	for _, workers := range []int{1, 4} {
-		got, want := load(keySorted, workers), load(tieSorted, workers)
-		for id := 0; id < nPeers; id++ {
-			gp, _ := got.Peer(simnet.NodeID(id))
-			wp, _ := want.Peer(simnet.NodeID(id))
-			gs, ws := gp.allPostings(), wp.allPostings()
-			if !slices.EqualFunc(gs.keys, ws.keys, keys.Key.Equal) || !slices.Equal(gs.postings, ws.postings) {
-				t.Fatalf("workers=%d peer %d: store loaded from the key-sorted batch differs from the (key, posting)-sorted one", workers, id)
-			}
-		}
+		sameStores(t, load(keySorted, workers), load(tieSorted, workers), nPeers)
 	}
 }
 
 // TestBulkLoadIntoNonEmptyStores checks the incremental path: a second
-// BulkLoad over a grid that already holds data merges like serial inserts.
+// BulkLoad over a grid that already holds data merges into the stores
+// exactly as routed inserts of both batches do.
 func TestBulkLoadIntoNonEmptyStores(t *testing.T) {
 	const nPeers = 32
 	entries := bulkEntries(1000)
@@ -169,14 +164,12 @@ func TestBulkLoadIntoNonEmptyStores(t *testing.T) {
 	if err := g.BulkLoad(entries[half:], 4); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if err := ref.BulkInsert(e.Key, e.Posting); err != nil {
+	for i, e := range entries {
+		if err := ref.Insert(nil, simnet.NodeID(i%nPeers), e.Key, e.Posting); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := g.Stats().StoredItems, ref.Stats().StoredItems; got != want {
-		t.Fatalf("stored items %d, want %d", got, want)
-	}
+	sameStores(t, g, ref, nPeers)
 	for i := 0; i < 30; i++ {
 		k := testKey(i * 13 % 334)
 		got, err := g.Lookup(nil, simnet.NodeID(i%nPeers), k)
@@ -199,12 +192,7 @@ func TestBulkLoadIntoNonEmptyStores(t *testing.T) {
 // over during splits exactly like incrementally grown ones.
 func TestBulkLoadThenMembershipChurn(t *testing.T) {
 	const nPeers, nItems = 48, 3000
-	entries := make([]BulkEntry, nItems)
-	sample := make([]keys.Key, nItems)
-	for i := range entries {
-		entries[i] = BulkEntry{Key: testKey(i), Posting: testPosting(i)}
-		sample[i] = entries[i].Key
-	}
+	entries, sample := seqEntries(nItems)
 	net := simnet.New(nPeers)
 	g, err := Build(net, nPeers, sample, Config{Replication: 2, RefsPerLevel: 2, MaxDepth: 64, Seed: 9})
 	if err != nil {

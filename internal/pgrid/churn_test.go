@@ -26,19 +26,7 @@ func buildChurnGrid(t *testing.T, wrap func(*simnet.Network) simnet.Fabric,
 	if wrap != nil {
 		fab = wrap(net)
 	}
-	sample := make([]keys.Key, nItems)
-	for i := range sample {
-		sample[i] = testKey(i)
-	}
-	g, err := Build(fab, nPeers, sample, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nItems; i++ {
-		if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-			t.Fatalf("BulkInsert(%d): %v", i, err)
-		}
-	}
+	g := buildSeqGrid(t, fab, nPeers, nItems, cfg)
 	net.Collector().Reset()
 	return g, net
 }

@@ -52,19 +52,7 @@ func execGrids(t *testing.T, nPeers, nItems int, mut func(*Config), lat asyncnet
 		if mode == "critical" {
 			fab = criticalPath{net}
 		}
-		sample := make([]keys.Key, nItems)
-		for i := range sample {
-			sample[i] = testKey(i)
-		}
-		g, err := Build(fab, nPeers, sample, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nItems; i++ {
-			if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		g := buildSeqGrid(t, fab, nPeers, nItems, cfg)
 		net.Collector().Reset()
 		out[mode] = g
 	}
@@ -259,20 +247,7 @@ func TestLatencyAwareRefSelection(t *testing.T) {
 		cfg.LatencyAwareRefs = aware
 		net := simnet.New(32)
 		net.SetLatency(asyncnet.Func(lat))
-		sample := make([]keys.Key, 400)
-		for i := range sample {
-			sample[i] = testKey(i)
-		}
-		g, err := Build(net, 32, sample, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 400; i++ {
-			if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return g, net
+		return buildSeqGrid(t, net, 32, 400, cfg), net
 	}
 
 	aware, _ := mkGrid(true)
@@ -337,21 +312,9 @@ func TestActorDeadlineBoundsOperations(t *testing.T) {
 	cfg.Deadline = simnet.VTimeOf(30 * time.Millisecond) // ~1 link crossing
 	net := simnet.New(16)
 	net.SetLatency(asyncnet.Func(asyncnet.Fixed{D: simnet.VTimeOf(25 * time.Millisecond)}))
-	sample := make([]keys.Key, 200)
-	for i := range sample {
-		sample[i] = testKey(i)
-	}
-	g, err := Build(net, 16, sample, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildSeqGrid(t, net, 16, 200, cfg)
 	var tally metrics.Tally
-	_, err = g.RangeQuery(&tally, 0, keys.Interval{Lo: testKey(0), Hi: testKey(199)}, RangeOptions{})
+	_, err := g.RangeQuery(&tally, 0, keys.Interval{Lo: testKey(0), Hi: testKey(199)}, RangeOptions{})
 	if err == nil {
 		t.Fatal("deadline-bounded shower over a slow grid reported no timeout")
 	}

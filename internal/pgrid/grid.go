@@ -189,24 +189,13 @@ func (p *Peer) localPut(k keys.Key, posting triples.Posting) {
 	p.store.t.Insert(k, posting)
 }
 
-// localPutBatchSortedFunc applies a (key, posting)-sorted batch, read
-// through at, under one store lock. An empty store is built bottom-up from
-// the batch; a non-empty one falls back to ordinary inserts. Replicas of a
+// localMergeSorted merges a (key, posting)-sorted batch, read through at,
+// into the store under one store lock. The merge rebuilds the tree bottom-up
+// (on an empty store it is the plain bottom-up build), so the store comes out
+// at bulk occupancy however small the batch is relative to it. Replicas of a
 // partition are handed the same closure over the shared shard, so the batch
 // is never copied per replica.
-func (p *Peer) localPutBatchSortedFunc(n int, at func(int) (keys.Key, triples.Posting)) {
-	p.store.mu.Lock()
-	defer p.store.mu.Unlock()
-	p.store.t.BulkLoadSortedFunc(n, at)
-}
-
-// localMergeBatchSortedFunc is localPutBatchSortedFunc forced through the
-// merge-rebuild path regardless of batch size, so the store comes out at
-// bulk occupancy. Streaming loads apply every window this way: window
-// batches shrink relative to the growing store, and repeated sub-threshold
-// insert batches would split-fragment the tree to roughly twice the
-// resident bytes of a bulk-built one.
-func (p *Peer) localMergeBatchSortedFunc(n int, at func(int) (keys.Key, triples.Posting)) {
+func (p *Peer) localMergeSorted(n int, at func(int) (keys.Key, triples.Posting)) {
 	p.store.mu.Lock()
 	defer p.store.mu.Unlock()
 	p.store.t.MergeSorted(n, at)

@@ -25,23 +25,38 @@ func testPosting(i int) triples.Posting {
 	}
 }
 
+// seqEntries returns n sequential (testKey(i), testPosting(i)) entries and
+// their keys, the balancing sample of a grid that holds them.
+func seqEntries(n int) ([]BulkEntry, []keys.Key) {
+	entries := make([]BulkEntry, n)
+	sample := make([]keys.Key, n)
+	for i := range entries {
+		entries[i] = BulkEntry{Key: testKey(i), Posting: testPosting(i)}
+		sample[i] = entries[i].Key
+	}
+	return entries, sample
+}
+
+// buildSeqGrid constructs a grid over nPeers peers of fab, balanced for and
+// bulk-loaded with nItems sequential items.
+func buildSeqGrid(t testing.TB, fab simnet.Fabric, nPeers, nItems int, cfg Config) *Grid {
+	t.Helper()
+	entries, sample := seqEntries(nItems)
+	g, err := Build(fab, nPeers, sample, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.BulkLoad(entries, 1); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // buildTestGrid constructs a grid over n peers holding m sequential items.
 func buildTestGrid(t testing.TB, nPeers, nItems int, cfg Config) (*Grid, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(nPeers)
-	sample := make([]keys.Key, nItems)
-	for i := range sample {
-		sample[i] = testKey(i)
-	}
-	g, err := Build(net, nPeers, sample, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nItems; i++ {
-		if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-			t.Fatalf("BulkInsert(%d): %v", i, err)
-		}
-	}
+	g := buildSeqGrid(t, net, nPeers, nItems, cfg)
 	net.Collector().Reset()
 	return g, net
 }

@@ -236,22 +236,6 @@ func boolInt64(b bool) int64 {
 	return 0
 }
 
-// BulkInsert stores a posting at every peer of the responsible partition
-// without routing or accounting. The evaluation uses it for the load phase,
-// whose cost the paper does not measure; whole-dataset loads should use
-// BulkLoad, which shards a batch by partition and applies it in parallel.
-func (g *Grid) BulkInsert(k keys.Key, posting triples.Posting) error {
-	v := g.snapshot()
-	li := v.leafForHashed(g.h.hash(k))
-	if li < 0 {
-		return ErrNoPartition
-	}
-	for _, id := range v.leaves.at(li).peers {
-		v.peers.at(id).localPut(k, posting)
-	}
-	return nil
-}
-
 // DeletePosting routes a deletion to the responsible partition and removes
 // posting p under key k there and at its replicas; each store descends to
 // the posting instead of scanning the key's run. It reports whether anything

@@ -232,19 +232,7 @@ func TestWriteFencingOracle(t *testing.T) {
 				cfg.Exec = ExecActor
 			}
 			net := simnet.New(nPeers)
-			sample := make([]keys.Key, nItems)
-			for i := range sample {
-				sample[i] = testKey(i)
-			}
-			g, err := Build(net, nPeers, sample, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < nItems; i++ {
-				if err := g.BulkInsert(testKey(i), testPosting(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			g := buildSeqGrid(t, net, nPeers, nItems, cfg)
 
 			// Churner: alternate joins and leaves on its own goroutine while
 			// the main goroutine streams inserts of fresh keys.

@@ -47,24 +47,7 @@ func newCarsFixture(t testing.TB, nPeers int) *carsFixture {
 			"name", fmt.Sprintf("dealer-%c", 'a'+i),
 			"addr", fmt.Sprintf("%d main st", 100+i)))
 	}
-	net := simnet.New(nPeers)
-	tmp := ops.NewStore(nil, ops.StoreConfig{})
-	sample, err := tmp.CollectKeys(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := pgrid.Build(net, nPeers, sample, pgrid.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := ops.NewStore(grid, ops.StoreConfig{})
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Collector().Reset()
-	return &carsFixture{store: store, cars: cars}
+	return &carsFixture{store: loadTuplesPlan(t, nPeers, tuples), cars: cars}
 }
 
 func (f *carsFixture) run(t testing.TB, query string, opts Options) *Result {
@@ -383,22 +366,7 @@ func TestStringRangeCheaperThanScan(t *testing.T) {
 		w := fmt.Sprintf("%c%c%04d", 'a'+(i%26), 'a'+((i/26)%26), i)
 		tuples = append(tuples, triples.MustTuple(fmt.Sprintf("w%04d", i), "name", w))
 	}
-	net := simnet.New(128)
-	tmp := ops.NewStore(nil, ops.StoreConfig{})
-	sample, err := tmp.CollectKeys(tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := pgrid.Build(net, 128, sample, pgrid.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := ops.NewStore(grid, ops.StoreConfig{})
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
+	store := loadTuplesPlan(t, 128, tuples)
 	var ranged, scanned metrics.Tally
 	if _, err := Run(store, 0, &ranged,
 		`SELECT ?n WHERE { (?o,name,?n) FILTER (?n >= 'ba') FILTER (?n <= 'bc') }`, Options{}); err != nil {
@@ -513,23 +481,21 @@ func TestMultiAttributeSimilarity(t *testing.T) {
 	}
 }
 
+// loadTuplesPlan loads tuples into an nPeers grid the way core.Open does:
+// plan, build the grid over the plan's sample, apply the plan.
 func loadTuplesPlan(t testing.TB, nPeers int, tuples []triples.Tuple) *ops.Store {
 	t.Helper()
-	net := simnet.New(nPeers)
-	tmp := ops.NewStore(nil, ops.StoreConfig{})
-	sample, err := tmp.CollectKeys(tuples)
+	p, err := ops.PlanLoadStream(tuples, ops.StoreConfig{}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := pgrid.Build(net, nPeers, sample, pgrid.DefaultConfig())
+	grid, err := pgrid.Build(simnet.New(nPeers), nPeers, p.SampleKeys(), pgrid.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := ops.NewStore(grid, ops.StoreConfig{})
-	for _, tu := range tuples {
-		if err := store.LoadTuple(tu); err != nil {
-			t.Fatal(err)
-		}
+	if err := store.ApplyLoadPlan(p, 1); err != nil {
+		t.Fatal(err)
 	}
 	return store
 }

@@ -27,12 +27,12 @@ func scaleTuples() int {
 }
 
 // BenchmarkLoadAtScale is the BENCH_10 load headline: end-to-end core.Open at
-// ~1M postings (10M with LOAD_SCALE_TUPLES=540000) comparing the materializing
-// planner against the streaming planner under a 64 MiB entry budget, each at
-// serial and GOMAXPROCS load workers. peak-MiB is the planner's deterministic
-// modeled peak of resident extracted entries (entryFootprint x entries held at
-// once): materializing holds the whole data set, streaming holds one window.
-// windows counts streaming windows (0 = materialized). Process-level RSS
+// ~1M postings (10M with LOAD_SCALE_TUPLES=540000) comparing a one-window
+// load against a 64 MiB entry budget, each at serial and GOMAXPROCS load
+// workers. peak-MiB is the planner's deterministic modeled peak of resident
+// extracted entries (entryFootprint x entries held at once): one window holds
+// the whole data set, a budgeted load one window of it. windows counts load
+// windows (1 = the whole data set at once). Process-level RSS
 // corroboration comes from fresh-process gridsim runs (the benchmark process
 // cannot give each variant a fresh heap).
 func BenchmarkLoadAtScale(b *testing.B) {
