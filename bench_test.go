@@ -11,15 +11,12 @@ package repro
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/asyncnet"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/keyscheme"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/simnet"
@@ -404,154 +401,6 @@ func BenchmarkVQLEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Query(q); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchemeExtract measures the key-scheme seam per scheme (the
-// BENCH_7.json baseline):
-//
-//   - extract: the planning pass alone (PlanLoadStream at GOMAXPROCS workers,
-//     one window) —
-//     entry extraction through Scheme.ValueEntries/AttrEntries is its CPU
-//     hot spot, so this isolates the per-scheme expansion cost (gram
-//     expansion vs MinHash signatures);
-//   - load: the full engine build (core.Open), showing how extraction cost
-//     and index size (grams grow with string length, buckets are a fixed
-//     Bands per value) propagate to end-to-end load throughput.
-func BenchmarkSchemeExtract(b *testing.B) {
-	corpus := dataset.BibleWords(benchWords, 1)
-	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, kind := range []keyscheme.Kind{keyscheme.KindQGram, keyscheme.KindLSH} {
-		b.Run(fmt.Sprintf("extract/bible/%s", kind), func(b *testing.B) {
-			b.ReportAllocs()
-			var postings int
-			for i := 0; i < b.N; i++ {
-				p, err := ops.PlanLoadStream(tuples, ops.StoreConfig{Scheme: kind}, 0, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				postings = p.Postings()
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(tuples)*b.N)/secs, "tuples/s")
-				b.ReportMetric(float64(postings)*float64(b.N)/secs, "postings/s")
-			}
-		})
-		b.Run(fmt.Sprintf("load/bible/256/%s", kind), func(b *testing.B) {
-			b.ReportAllocs()
-			var postings int64
-			for i := 0; i < b.N; i++ {
-				eng, err := core.Open(tuples, core.Config{Peers: 256, Scheme: kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				postings = eng.Stats().Storage.Postings
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(tuples)*b.N)/secs, "tuples/s")
-				b.ReportMetric(float64(postings)*float64(b.N)/secs, "postings/s")
-			}
-		})
-	}
-}
-
-// BenchmarkQueryThroughput is the query-side throughput baseline (BENCH_6):
-// similarity queries per second on both executors, with the lifecycle
-// tracer off and on. The off/on pair bounds the observability overhead — the
-// acceptance bar is <= 2% on the disabled path, where tracing is a single
-// nil-pointer check per lifecycle transition.
-func BenchmarkQueryThroughput(b *testing.B) {
-	const peers = 256
-	corpus := dataset.BibleWords(benchWords, 1)
-	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
-		for _, traced := range []bool{false, true} {
-			state := "off"
-			if traced {
-				state = "on"
-			}
-			b.Run(fmt.Sprintf("%s/trace=%s", mode, state), func(b *testing.B) {
-				cfg := core.Config{
-					Peers:   peers,
-					Runtime: mode,
-					Latency: asyncnet.DefaultLatency(1),
-				}
-				if traced {
-					cfg.Trace = asyncnet.NewTracer(0)
-				}
-				eng, err := core.Open(tuples, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					needle := corpus[i%len(corpus)]
-					var tally metrics.Tally
-					if _, err := eng.Store().Similar(&tally, simnet.NodeID(i%peers), needle, "word", 1,
-						ops.SimilarOptions{NoShortFallback: true}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(b.N)/secs, "queries/s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCachedQueryThroughput is the BENCH_8 headline: similarity queries
-// per second under a Zipf(1.1) needle distribution with the initiator-side
-// caches off (parity bar against BENCH_6) and on (the win). Engines are built
-// fresh per sub-benchmark — cache state must not leak across runs, and the
-// cached runs deliberately keep their warmth across b.N iterations, because
-// steady-state hit ratio is exactly what the benchmark measures.
-func BenchmarkCachedQueryThroughput(b *testing.B) {
-	const peers = 256
-	corpus := dataset.BibleWords(benchWords, 1)
-	tuples := dataset.StringTuples("word", "o", corpus)
-	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
-		for _, cached := range []bool{false, true} {
-			state := "off"
-			if cached {
-				state = "on"
-			}
-			b.Run(fmt.Sprintf("%s/cache=%s", mode, state), func(b *testing.B) {
-				eng, err := core.Open(tuples, core.Config{
-					Peers:   peers,
-					Runtime: mode,
-					Latency: asyncnet.DefaultLatency(1),
-					Cache:   cached,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(11))
-				zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(corpus)-1))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					needle := corpus[zipf.Uint64()]
-					var tally metrics.Tally
-					if _, err := eng.Store().Similar(&tally, simnet.NodeID(i%peers), needle, "word", 1,
-						ops.SimilarOptions{NoShortFallback: true}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(b.N)/secs, "queries/s")
-				}
-				if cached {
-					st := eng.Store().CacheStats()
-					total := st.Results.Hits + st.Results.Misses
-					if total > 0 {
-						b.ReportMetric(100*float64(st.Results.Hits)/float64(total), "result-hit-%")
-					}
-				}
-			})
 		}
 	}
 }

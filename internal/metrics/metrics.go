@@ -42,8 +42,8 @@ type Tally struct {
 	// Queue is the total virtual time (µs) the query's messages spent
 	// waiting in actor mailboxes before processing began, summed over every
 	// delivery. Only the actor executor produces queueing: the chained
-	// executors model links but not per-peer serialization, so they always
-	// report zero.
+	// executor models links but not per-peer serialization, so it always
+	// reports zero.
 	Queue int64
 	// Retries counts retransmissions of messages lost in transit; Failovers
 	// counts sends redirected to a replica after the original target was

@@ -232,7 +232,7 @@ func TestCollectorQueueHistogram(t *testing.T) {
 	if c.QueueHist().Count() != 0 {
 		t.Error("Reset did not clear queue histogram")
 	}
-	// A run with no queueing (chained executors) hides the line.
+	// A run with no queueing (the chained executor) hides the line.
 	c.ObserveQuery(Tally{Hops: 3, Latency: 10_000})
 	if r := c.QueryReport(); strings.Contains(r, "queued") {
 		t.Errorf("QueryReport renders queue line without queueing: %q", r)

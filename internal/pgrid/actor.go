@@ -15,16 +15,16 @@ import (
 
 // actorExec runs query operators as message handlers on a discrete-event
 // runtime: every peer is an actor with a bounded mailbox and a per-message
-// service time, and every routing step, shower split, multicast split,
-// replica apply and result return is a real request or reply message with a
-// correlation id. Congestion is therefore modelled, not simulated by
-// arithmetic: messages wait behind earlier work in mailboxes, the wait is
-// tallied as queueing delay, and per-peer service load and backlog are
-// observable on the runtime.
+// service time, and every routing step, multicast node, replica apply and
+// result return is a real request or reply message with a correlation id.
+// The handlers drive the same per-peer steps as the direct executor
+// (step.go), one step per delivered message. Congestion is therefore
+// modelled, not simulated by arithmetic: messages wait behind earlier work in
+// mailboxes, the wait is tallied as queueing delay, and per-peer service load
+// and backlog are observable on the runtime.
 //
-// Operations can be issued asynchronously onto the one shared timeline —
-// post N kickoffs, drain once (Grid.Issue*/DrainIssued, Grid.Concurrent,
-// and the executor's own fanout of sibling branches) — so queueing *between*
+// Operations from many issuers share the one timeline (Grid.Concurrent, and
+// the executor's own fanout of sibling branches), so queueing *between*
 // concurrently issued operations is modelled with the same mechanism as
 // queueing within one: everything is just messages contending for mailboxes
 // on a single virtual clock.
@@ -33,10 +33,10 @@ import (
 //
 //   - every operation consumes exactly one membership epoch (the view in its
 //     actorOp), so structural churn stays safe mid-flight;
-//   - routes are picked by the same pure pickRef and the network cost of
-//     every step is accounted through the same fabric wire messages, so for
-//     a fixed seed, results, routes, hop counts, messages and bytes are
-//     identical across executors — only latency gains the queueing and
+//   - both executors drive the same steps, whose reference picks are pure and
+//     whose network cost is accounted through the same fabric wire messages,
+//     so for a fixed seed, results, routes, hop counts, messages and bytes
+//     are identical across executors — only latency gains the queueing and
 //     service terms the arithmetic model cannot express.
 type actorExec struct {
 	g       *Grid
@@ -62,7 +62,7 @@ type actorExec struct {
 
 // actorMailboxDefault effectively unbounds mailboxes unless the
 // configuration asks for backpressure studies: dropping operator messages
-// would diverge from the chained executors' results.
+// would diverge from the chained executor's results.
 const actorMailboxDefault = 1 << 20
 
 func newActorExec(g *Grid) *actorExec {
@@ -84,8 +84,7 @@ func newActorExec(g *Grid) *actorExec {
 // gatedSelf reports whether operation waits must park under an active drain
 // loop. By the issuing contract (see the draining field) every goroutine that
 // issues operations while a group is active is a gated group body, so the
-// drain flag alone answers the question — the goroutine-id registry that used
-// to distinguish legacy raw issuers is gone along with its last callers.
+// drain flag alone answers the question.
 func (x *actorExec) gatedSelf() bool {
 	return x.draining.Load() > 0
 }
@@ -113,7 +112,7 @@ func (x *actorExec) awaitWriteDrain() {
 	}
 }
 
-// opKind selects the routed operation's action at the responsible peer.
+// opKind names the operation in trace records.
 type opKind int
 
 const (
@@ -162,15 +161,13 @@ type actorOp struct {
 	// the runtime and fail their step with ErrTimeout.
 	deadline simnet.VTime
 
-	// routed-operation parameters.
-	orig    keys.Key
-	target  keys.Key
-	salt    uint64
-	posting triples.Posting
-	rm      *removal
-	// shower parameters.
-	iv, ivH keys.Interval
-	opts    RangeOptions
+	// route is the routed leg of every operation but the batched multicast.
+	// Where it stops, a lookup serves key, a range query starts the shower
+	// rng, and a write lands w.
+	route route
+	key   keys.Key
+	rng   *rangeCast
+	w     *write
 
 	mu      sync.Mutex
 	pending int
@@ -179,13 +176,13 @@ type actorOp struct {
 	// operation re-opens the window on the waiter's behalf before signalling,
 	// handing it over without a gap the drain loop could slip through.
 	parked bool
-	// writeFence marks that applyOwnerWrite opened a write-apply phase for
-	// this operation; the last resolved message closes it (endWrite) so
+	// writeFence marks that writeStep opened a write-apply phase for this
+	// operation; the last resolved message closes it (endWrite) so
 	// membership moves waiting on the drain may proceed.
 	writeFence bool
 	results    []triples.Posting
 	errs       []error
-	deleted    bool
+	changed    bool         // a write changed the owner's store
 	maxEnd     simnet.VTime // latest observed path end, runtime timeline
 	done       chan struct{}
 }
@@ -198,10 +195,10 @@ func (op *actorOp) addPending(n int) {
 }
 
 // finishMsg resolves one in-flight message; the last one completes the
-// operation. If the issuer parked on the completion (asynchronous issue
-// under a drain loop), its issue window is re-opened here — before the
-// signal — so the drain cannot advance the clock between the operation's
-// completion and the issuer's next kickoff.
+// operation. If the issuer parked on the completion (concurrent issue under
+// a drain loop), its issue window is re-opened here — before the signal — so
+// the drain cannot advance the clock between the operation's completion and
+// the issuer's next kickoff.
 func (op *actorOp) finishMsg() {
 	op.mu.Lock()
 	op.pending--
@@ -222,8 +219,11 @@ func (op *actorOp) finishMsg() {
 	}
 }
 
-// recordErr notes a failure without resolving a message.
+// recordErr notes a failure, if any, without resolving a message.
 func (op *actorOp) recordErr(err error) {
+	if err == nil {
+		return
+	}
 	op.mu.Lock()
 	op.errs = append(op.errs, err)
 	op.mu.Unlock()
@@ -235,24 +235,11 @@ func (op *actorOp) fail(err error) {
 	op.finishMsg()
 }
 
-// readFailed records a failed branch of a read operation, degrading it into
-// an unanswered probe when the retry policy is enabled: the query keeps its
-// partial results. Write failures always surface.
-func (op *actorOp) readFailed(err error) {
-	if op.kind == opInsert || op.kind == opDelete {
-		op.recordErr(err)
-		return
-	}
-	if err = op.x.g.degradeReadErr(op.t, err); err != nil {
-		op.recordErr(err)
-	}
-}
-
-// failBranch resolves one in-flight message of a failed branch, degrading
-// reads like readFailed.
-func (op *actorOp) failBranch(err error) {
-	op.readFailed(err)
-	op.finishMsg()
+// addResults collects postings that reached the initiator.
+func (op *actorOp) addResults(res []triples.Posting) {
+	op.mu.Lock()
+	op.results = append(op.results, res...)
+	op.mu.Unlock()
 }
 
 // observe folds one completed path into the tally on the operation's own
@@ -266,28 +253,6 @@ func (op *actorOp) observe(hops int64, endRT simnet.VTime) {
 	op.mu.Unlock()
 }
 
-// stop is the routing loop's termination predicate.
-func (op *actorOp) stop(p *Peer) bool {
-	if op.kind == opShower {
-		return op.ivH.OverlapsPrefix(p.path)
-	}
-	return p.Responsible(op.target)
-}
-
-// wire builds the accounted fabric message of one forwarding step.
-func (op *actorOp) wire() simnet.Message {
-	switch op.kind {
-	case opInsert:
-		return insertMsg{key: op.orig, posting: op.posting}
-	case opDelete:
-		return deleteMsg{key: op.orig}
-	case opShower:
-		return rangeMsg{iv: op.iv, filterBytes: op.opts.FilterBytes}
-	default:
-		return lookupMsg{key: op.orig}
-	}
-}
-
 // newOp builds an operation around one epoch snapshot and registers its
 // result-return continuation under a fresh correlation id.
 func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind opKind, start simnet.VTime) (*actorOp, simnet.VTime) {
@@ -295,18 +260,15 @@ func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind op
 	op.corr = x.rt.Open(true, func(rt *asyncnet.Runtime, ev asyncnet.Event, payload simnet.Message, err error) {
 		if err != nil {
 			// A dropped protocol message (deadline, mailbox, runtime-level
-			// loss) fails this branch; reads degrade it to an unanswered
-			// probe under the retry policy.
-			op.failBranch(err)
+			// loss) fails its branch like any other failed step.
+			op.fail(x.g.branchErr(op.t, op.w != nil, err))
 			return
 		}
 		// The reply paid the initiator's mailbox wait and service time like
 		// any other message; harvest it.
 		op.t.AddQueue(int64(ev.At - ev.Enqueued))
 		r := payload.(opResult)
-		op.mu.Lock()
-		op.results = append(op.results, r.postings...)
-		op.mu.Unlock()
+		op.addResults(r.postings)
 		op.observe(r.hops, ev.At)
 		op.finishMsg()
 	})
@@ -342,25 +304,22 @@ func (x *actorExec) post(op *actorOp, from, to simnet.NodeID, payload simnet.Mes
 	}
 }
 
-// reply sends the result-return leg: the fabric accounts a resultMsg from
-// the contacted peer to the initiator, and the matching reply envelope is
-// dispatched to the operation's continuation after queueing at the
-// initiator. A send failure (initiator crashed) mirrors the chained
-// executor: the error is recorded and the results are lost.
-func (x *actorExec) reply(op *actorOp, from simnet.NodeID, res []triples.Posting, hops int64, departRT simnet.VTime) bool {
-	arrive, err := x.g.sendRetrans(op.t, from, op.from,
-		func() simnet.Message { return resultMsg{postings: res} }, departRT)
-	if err != nil {
-		op.readFailed(err)
-		return false
+// answer sends a contacted peer's result leg (Grid.answer) and, when it
+// arrives, posts the matching reply envelope, which reaches the operation's
+// continuation after queueing at the initiator.
+func (x *actorExec) answer(op *actorOp, here simnet.NodeID, res []triples.Posting, served bool, hops int64, now simnet.VTime) leg {
+	l, arrive, err := x.g.answer(op.t, here, op.from, res, served, now)
+	op.recordErr(err)
+	if l != legSent {
+		return l
 	}
 	op.addPending(1)
-	if err := x.rt.Reply(from, asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Deadline: op.deadline},
+	if err := x.rt.Reply(here, asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Deadline: op.deadline},
 		opResult{postings: res, hops: hops + 1}, arrive); err != nil {
 		op.fail(err)
-		return false
+		return legNone
 	}
-	return true
+	return legSent
 }
 
 // run completes an issued operation and collects its outcome. Two regimes:
@@ -368,7 +327,7 @@ func (x *actorExec) reply(op *actorOp, from simnet.NodeID, res []triples.Posting
 //   - Sequential issue (no drain loop active): the caller pumps the shared
 //     heap itself until the operation completes — exactly the pre-existing
 //     per-episode behaviour, byte-identical tallies included.
-//   - Asynchronous issue (a drain loop owns the runtime): the caller is a
+//   - Concurrent issue (a drain loop owns the runtime): the caller is a
 //     gated issuer; it parks on the operation's completion signal and the
 //     drain loop steps the shared heap. Every concurrently issued
 //     operation's events then interleave in global virtual-time order, so
@@ -422,18 +381,14 @@ func (x *actorExec) run(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
 // collect closes out a completed operation and returns its outcome on the
 // operation's own timeline.
 func (x *actorExec) collect(op *actorOp) ([]triples.Posting, simnet.VTime, error) {
-	x.release(op)
-	op.mu.Lock()
-	res, end, err := op.results, op.maxEnd-op.base, errors.Join(op.errs...)
-	op.mu.Unlock()
-	return res, end, err
-}
-
-func (x *actorExec) release(op *actorOp) {
 	x.rt.Close(op.corr)
 	x.mu.Lock()
 	delete(x.ops, op.corr)
 	x.mu.Unlock()
+	op.mu.Lock()
+	res, end, err := op.results, op.maxEnd-op.base, errors.Join(op.errs...)
+	op.mu.Unlock()
+	return res, end, err
 }
 
 // opFor resolves the operation a delivered envelope belongs to.
@@ -443,9 +398,9 @@ func (x *actorExec) opFor(corr asyncnet.CorrID) *actorOp {
 	return x.ops[corr]
 }
 
-// handle is the per-peer message handler: it dispatches one delivered
-// protocol message for the peer the runtime addressed (ev.To) against the
-// owning operation's epoch snapshot.
+// handle is the per-peer message handler: it drives one step for the peer
+// the runtime addressed (ev.To) against the owning operation's epoch
+// snapshot.
 func (x *actorExec) handle(rt *asyncnet.Runtime, ev asyncnet.Event) {
 	env, ok := ev.Msg.(asyncnet.Envelope)
 	if !ok {
@@ -456,281 +411,121 @@ func (x *actorExec) handle(rt *asyncnet.Runtime, ev asyncnet.Event) {
 		return
 	}
 	op.t.AddQueue(int64(ev.At - ev.Enqueued))
+	defer op.finishMsg()
 	switch m := env.Payload.(type) {
 	case routeStepMsg:
 		x.onRouteStep(op, ev, m)
-	case multiStepMsg:
-		x.onMultiStep(op, ev, m)
-	case showerStepMsg:
-		x.onShowerStep(op, ev, m.scope, m.hops)
+	case castStepMsg:
+		x.cast(op, ev.To, ev.At, m.c, m.scope, m.hops)
 	case applyMsg:
-		x.onApply(op, ev, m)
+		x.g.applyReplicaWrite(op.v, ev.To, op.w.hk, op.w.apply)
+		op.observe(m.hops, ev.At)
 	}
 }
 
-// onRouteStep is the actor form of the chained routing loop: one iteration
-// per delivery.
+// onRouteStep drives one route step per delivery and, where the route stops,
+// performs the operation's action.
 func (x *actorExec) onRouteStep(op *actorOp, ev asyncnet.Event, m routeStepMsg) {
-	defer op.finishMsg()
-	if m.budget <= 0 {
-		op.readFailed(ErrRoutingExhausted)
-		return
+	p, next, err := x.g.routeStep(op.v, op.t, &op.route, ev.To, ev.At, m.budget)
+	switch {
+	case next.ok:
+		x.post(op, ev.To, next.to, routeStepMsg{hops: m.hops + 1, budget: m.budget - 1}, next.at)
+	case p == nil:
+		op.recordErr(err)
+	case op.w != nil:
+		x.land(op, p, m.hops, ev.At)
+	case op.rng != nil:
+		x.cast(op, p.id, ev.At, cast{rng: op.rng}, 0, m.hops)
+	default:
+		res := p.localPrefix(op.key)
+		if x.answer(op, p.id, res, true, m.hops, ev.At) != legSent {
+			// Like the direct executor: a lost result leg still hands the
+			// caller what the owner found.
+			op.addResults(res)
+			op.observe(m.hops, ev.At)
+		}
 	}
-	here, now := ev.To, ev.At
-	p, err := op.v.peer(here)
-	if err != nil {
-		op.readFailed(err)
-		return
-	}
-	if op.stop(p) {
-		x.arrived(op, ev, p, m.hops)
-		return
-	}
-	l := p.path.CommonPrefixLen(op.target)
-	next, err := x.g.pickRef(op.v, p, l, op.salt)
-	if err != nil {
-		op.readFailed(err)
-		return
-	}
-	reached, arrive, err := x.g.sendFailover(op.v, op.t, here, next, op.wire, now)
-	if err != nil {
-		op.readFailed(err)
-		return
-	}
-	x.post(op, here, reached, routeStepMsg{hops: m.hops + 1, budget: m.budget - 1}, arrive)
 }
 
-// arrived performs the operation's action at the peer the routing loop
-// stopped at.
-func (x *actorExec) arrived(op *actorOp, ev asyncnet.Event, p *Peer, hops int64) {
-	here, now := ev.To, ev.At
-	switch op.kind {
-	case opLookup:
-		res := p.localPrefix(op.orig)
-		if len(res) > 0 || x.g.cfg.ReplyEmpty {
-			if !x.reply(op, here, res, hops, now) {
-				// Mirror chainExec.lookup's error path: the postings were
-				// found even though the result message failed, so the caller
-				// still receives them alongside the recorded error.
-				op.mu.Lock()
-				op.results = append(op.results, res...)
-				op.mu.Unlock()
-				op.observe(hops, now)
-			}
-			return
-		}
+// cast drives the cast step at peer here: the result leg first, then one
+// posted step per forward, in branch order.
+func (x *actorExec) cast(op *actorOp, here simnet.NodeID, now simnet.VTime, c cast, scope int, hops int64) {
+	local, served, fwds, splitErr := x.g.castStep(op.v, op.t, here, c, scope)
+	if x.answer(op, here, local, served, hops, now) == legSilent {
+		// Silence means "no results", but the query still travelled here:
+		// fold the forwarding path into the tally.
 		op.observe(hops, now)
-	case opInsert:
-		x.g.applyOwnerWrite(op.v, p, op.target, func(q *Peer) bool {
-			q.localPut(op.orig, op.posting)
-			return true
-		})
-		op.mu.Lock()
-		op.writeFence = true
-		op.mu.Unlock()
-		x.applyAtReplicas(op, p, here, false, hops, now)
-	case opDelete:
-		deleted := x.g.applyOwnerWrite(op.v, p, op.target, func(q *Peer) bool {
-			return q.localRemove(op.orig, op.rm)
-		})
-		op.mu.Lock()
-		op.writeFence = true
-		op.mu.Unlock()
-		if deleted {
-			op.mu.Lock()
-			op.deleted = true
-			op.mu.Unlock()
-		}
-		x.applyAtReplicas(op, p, here, true, hops, now)
-	case opShower:
-		x.onShowerStep(op, ev, 0, hops)
 	}
-}
-
-// applyAtReplicas pushes a routed write to the partition's structural
-// replicas; each push is an accounted fabric message followed by an apply at
-// the replica's actor.
-func (x *actorExec) applyAtReplicas(op *actorOp, p *Peer, here simnet.NodeID, del bool, hops int64, now simnet.VTime) {
-	end := now
-	wire := func() simnet.Message {
-		if del {
-			return deleteMsg{key: op.orig}
-		}
-		return replicateMsg{key: op.orig, posting: op.posting}
-	}
-	for _, r := range p.replicas {
-		arrive, err := x.g.sendRetrans(op.t, here, r, wire, now)
-		if err != nil {
+	op.recordErr(splitErr)
+	for _, f := range fwds {
+		next, err := x.g.sendForward(op.v, op.t, here, c, f, now)
+		if !next.ok {
 			op.recordErr(err)
 			continue
 		}
-		if arrive > end {
-			end = arrive
-		}
-		x.post(op, here, r, applyMsg{del: del, hops: hops + 1}, arrive)
+		x.post(op, here, next.to, castStepMsg{c: c.along(f), scope: f.level + 1, hops: hops + 1}, next.at)
+	}
+}
+
+// land drives the write step at the owner p and posts one apply per replica
+// push that arrived; the last resolved message closes the apply phase
+// (finishMsg).
+func (x *actorExec) land(op *actorOp, p *Peer, hops int64, now simnet.VTime) {
+	changed, pushes, err := x.g.writeStep(op.v, op.t, p, op.w, now)
+	op.mu.Lock()
+	op.writeFence, op.changed = true, changed
+	op.mu.Unlock()
+	op.recordErr(err)
+	end := now
+	for _, h := range pushes {
+		end = max(end, h.at)
+		x.post(op, p.id, h.to, applyMsg{hops: hops + 1}, h.at)
 	}
 	op.observe(hops+boolInt64(len(p.replicas) > 0), end)
 }
 
-// onApply lands a replica push.
-func (x *actorExec) onApply(op *actorOp, ev asyncnet.Event, m applyMsg) {
-	defer op.finishMsg()
-	x.g.applyReplicaWrite(op.v, ev.To, op.target, func(q *Peer) bool {
-		if m.del {
-			return q.localRemove(op.orig, op.rm)
-		}
-		q.localPut(op.orig, op.posting)
-		return true
-	})
-	op.observe(m.hops, ev.At)
-}
-
-// onMultiStep is the actor form of the batched multicast node.
-func (x *actorExec) onMultiStep(op *actorOp, ev asyncnet.Event, m multiStepMsg) {
-	defer op.finishMsg()
-	here, now := ev.To, ev.At
-	p, err := op.v.peer(here)
-	if err != nil {
-		op.recordErr(err)
-		return
-	}
-	var local []triples.Posting
-	served := false
-	rest := m.keys[:0:0]
-	for _, k := range m.keys {
-		if p.Responsible(k.h) {
-			served = true
-			local = append(local, p.localPrefix(k.orig)...)
-		} else {
-			rest = append(rest, k)
-		}
-	}
-	if len(local) > 0 || (x.g.cfg.ReplyEmpty && served) {
-		x.reply(op, here, local, m.hops, now)
-	} else if served {
-		op.observe(m.hops, now)
-	}
-
-	branches, pickErrs := splitMultiBranches(x.g, op.v, p, rest, m.scope)
-	for _, e := range pickErrs {
-		op.readFailed(e)
-	}
-	for _, b := range branches {
-		b := b
-		reached, arrive, err := x.g.sendFailover(op.v, op.t, here, b.next,
-			func() simnet.Message { return multiLookupWire(b.keys) }, now)
-		if err != nil {
-			op.readFailed(err)
-			continue
-		}
-		x.post(op, here, reached, multiStepMsg{keys: b.keys, scope: b.level + 1, hops: m.hops + 1}, arrive)
-	}
-}
-
-// onShowerStep is the actor form of the shower multicast node; the routing
-// entry peer calls it directly with scope 0.
-func (x *actorExec) onShowerStep(op *actorOp, ev asyncnet.Event, scope int, hops int64) {
-	if scope > 0 {
-		defer op.finishMsg()
-	}
-	here, now := ev.To, ev.At
-	p, err := op.v.peer(here)
-	if err != nil {
-		op.recordErr(err)
-		return
-	}
-	if op.ivH.OverlapsPrefix(p.path) {
-		res := p.localRange(op.iv, op.opts.Filter)
-		if len(res) > 0 || x.g.cfg.ReplyEmpty {
-			x.reply(op, here, res, hops, now)
-		} else {
-			// Silence means "no results", but the query still travelled
-			// here: fold the forwarding path into the tally.
-			op.observe(hops, now)
-		}
-	}
-	branches, pickErrs := splitShowerBranches(x.g, op.v, p, op.ivH, scope)
-	for _, e := range pickErrs {
-		op.readFailed(e)
-	}
-	for _, b := range branches {
-		reached, arrive, err := x.g.sendFailover(op.v, op.t, here, b.next,
-			func() simnet.Message { return rangeMsg{iv: op.iv, filterBytes: op.opts.FilterBytes} }, now)
-		if err != nil {
-			op.readFailed(err)
-			continue
-		}
-		x.post(op, here, reached, showerStepMsg{scope: b.level + 1, hops: hops + 1}, arrive)
-	}
-}
-
 // --- executor interface ---
 
-// kickRoute posts the self-addressed first routing step: issuing a query is
-// itself a message through the initiator's mailbox.
-func (x *actorExec) kickRoute(op *actorOp, at simnet.VTime) {
-	x.post(op, op.from, op.from, routeStepMsg{budget: op.target.Len() + 2}, at)
-}
-
-// issueLookup posts a lookup's kickoff without waiting: the returned
-// operation completes when a drain loop (or a pumping waiter) has stepped
-// its events.
-func (x *actorExec) issueLookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) *actorOp {
-	op, at := x.newOp(v, t, from, opLookup, start)
-	op.orig, op.target = k, x.g.h.hash(k)
-	op.salt = routeSalt(op.target)
-	x.kickRoute(op, at)
-	return op
-}
-
-// issueMultiLookup posts a batched multicast's kickoff without waiting.
-func (x *actorExec) issueMultiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) *actorOp {
-	op, at := x.newOp(v, t, from, opMulti, start)
-	x.post(op, from, from, multiStepMsg{keys: hks}, at)
-	return op
-}
-
-// issueRange posts a shower multicast's kickoff without waiting.
-func (x *actorExec) issueRange(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) *actorOp {
-	op, at := x.newOp(v, t, from, opShower, start)
-	op.iv, op.ivH, op.opts = iv, ivH, opts
-	op.target = ivH.Lo
-	op.salt = routeSalt(ivH.Lo)
-	x.kickRoute(op, at)
-	return op
+// routed issues an operation with a routed leg: its first route step is a
+// self-addressed message, so issuing is itself a message through the
+// initiator's mailbox. It waits for the operation's outcome.
+func (x *actorExec) routed(op *actorOp, at simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
+	x.post(op, op.from, op.from, routeStepMsg{budget: op.route.budget()}, at)
+	return x.run(op)
 }
 
 func (x *actorExec) lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.run(x.issueLookup(v, t, from, k, start))
+	op, at := x.newOp(v, t, from, opLookup, start)
+	op.key = k
+	op.route = keyRoute(x.g.h.hash(k), false, func() simnet.Message { return lookupMsg{key: k} })
+	return x.routed(op, at)
 }
 
 func (x *actorExec) multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.run(x.issueMultiLookup(v, t, from, hks, start))
+	op, at := x.newOp(v, t, from, opMulti, start)
+	x.post(op, from, from, castStepMsg{c: cast{keys: hks}}, at)
+	return x.run(op)
 }
 
 func (x *actorExec) rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return x.run(x.issueRange(v, t, from, iv, ivH, opts, start))
+	op, at := x.newOp(v, t, from, opShower, start)
+	op.rng = &rangeCast{iv: iv, ivH: ivH, opts: opts}
+	op.route = op.rng.route()
+	return x.routed(op, at)
 }
 
-func (x *actorExec) insert(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, posting triples.Posting) error {
-	op, at := x.newOp(v, t, from, opInsert, simnet.VTime(t.PathEnd()))
-	op.orig, op.target, op.posting = k, x.g.h.hash(k), posting
-	op.salt = routeSalt(op.target)
-	x.kickRoute(op, at)
-	_, _, err := x.run(op)
-	return err
-}
-
-func (x *actorExec) remove(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, r *removal) (bool, error) {
-	op, at := x.newOp(v, t, from, opDelete, simnet.VTime(t.PathEnd()))
-	op.orig, op.target, op.rm = k, x.g.h.hash(k), r
-	op.salt = routeSalt(op.target)
-	x.kickRoute(op, at)
-	_, _, err := x.run(op)
+func (x *actorExec) write(v *view, t *metrics.Tally, from simnet.NodeID, w *write) (bool, error) {
+	kind := opInsert
+	if w.rm != nil {
+		kind = opDelete
+	}
+	op, at := x.newOp(v, t, from, kind, simnet.VTime(t.PathEnd()))
+	op.w = w
+	op.route = w.route()
+	_, _, err := x.routed(op, at)
 	op.mu.Lock()
-	deleted := op.deleted
-	op.mu.Unlock()
-	return deleted, err
+	defer op.mu.Unlock()
+	return op.changed, err
 }
 
 // fanout hands every branch the same virtual start time, so branch
@@ -810,7 +605,7 @@ func (x *actorExec) groupDrain(n int, body func(i int)) {
 			}
 		}(i)
 		if i < n-1 {
-			x.waitIssues(0) // body i parked or finished: kickoff order is fixed
+			x.rt.WaitIssues(0) // body i parked or finished: kickoff order is fixed
 		}
 	}
 	x.rt.Drain(func() bool {
@@ -848,16 +643,9 @@ func (x *actorExec) groupNested(n int, body func(i int)) {
 			x.rt.EndIssue()
 		}(i)
 		if i < n-1 {
-			x.waitIssues(1) // 1 = the spawner's own window
+			x.rt.WaitIssues(1) // 1 = the spawner's own window
 		}
 	}
 	x.rt.EndIssue() // release our window while the drain completes the bodies
 	<-handoff       // resume owning the last body's window
-}
-
-// waitIssues parks until the number of open issue windows drops to target:
-// every spawned body below the caller has either parked on an operation or
-// finished.
-func (x *actorExec) waitIssues(target int64) {
-	x.rt.WaitIssues(target)
 }

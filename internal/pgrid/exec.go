@@ -35,24 +35,26 @@ func (m ExecMode) String() string {
 	}
 }
 
-// executor runs the query operators against one epoch snapshot. Every method
-// receives the view its operation must observe throughout (epoch snapshotting
-// stays churn-safe regardless of engine) and an explicit virtual start time.
+// executor drives the operators' per-peer steps (step.go) against one epoch
+// snapshot. Every method receives the view its operation must observe
+// throughout (epoch snapshotting stays churn-safe regardless of engine) and
+// an explicit virtual start time.
 type executor interface {
 	lookup(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	multiLookup(v *view, t *metrics.Tally, from simnet.NodeID, hks []hashedKey, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
 	rangeQuery(v *view, t *metrics.Tally, from simnet.NodeID, iv, ivH keys.Interval, opts RangeOptions, start simnet.VTime) ([]triples.Posting, simnet.VTime, error)
-	insert(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, posting triples.Posting) error
-	remove(v *view, t *metrics.Tally, from simnet.NodeID, k keys.Key, r *removal) (bool, error)
+	// write routes an insert or delete and reports whether it changed the
+	// owner's store.
+	write(v *view, t *metrics.Tally, from simnet.NodeID, w *write) (bool, error)
 	// fanout runs logically parallel branch expansions issued above the grid
 	// (similarity candidate phases, top-N window probes, join selections).
 	fanout(start simnet.VTime, branches int, run func(i int, start simnet.VTime) simnet.VTime) simnet.VTime
 	// concurrent runs n closed-loop client bodies, each issuing operations in
 	// program order. The actor engine issues all bodies onto one shared
 	// virtual timeline (mailbox queueing between operations of different
-	// bodies is modelled); the chained engines run bodies serially — they
-	// have no cross-operation contention model, so serial execution yields
-	// the same results and costs by construction.
+	// bodies is modelled); the chained engine runs bodies serially — it has
+	// no cross-operation contention model, so serial execution yields the
+	// same results and costs by construction.
 	concurrent(n int, body func(i int))
 	// attach makes a newly joined peer addressable by the engine.
 	attach(id simnet.NodeID)
@@ -80,7 +82,7 @@ func (g *Grid) Fanout(start simnet.VTime, branches int, run func(i int, start si
 // operations — the cross-operation contention term of the cost model.
 // Bodies are spawned in index order with deterministic first-issue ordering,
 // so a fixed seed reproduces latencies and queueing exactly. On the chained
-// engines, which model no cross-operation contention, bodies run serially in
+// engine, which models no cross-operation contention, bodies run serially in
 // index order and return identical results and message costs.
 func (g *Grid) Concurrent(n int, body func(i int)) {
 	g.exec.concurrent(n, body)

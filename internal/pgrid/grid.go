@@ -63,8 +63,8 @@ type Config struct {
 	// differs.
 	Exec ExecMode
 	// Service is each peer's virtual per-message service time in actor
-	// mode; 0 makes processing instantaneous, so actor latency matches the
-	// chained executors exactly under an uncongested grid.
+	// mode; 0 makes processing instantaneous, so actor latency is exactly
+	// the critical path of the operation's logically parallel branches.
 	Service simnet.VTime
 	// ServiceRate, when positive, scales actor-mode service times with
 	// message size: a message of s bytes costs s/ServiceRate (bytes per

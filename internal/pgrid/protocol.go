@@ -10,14 +10,13 @@ import (
 // asyncnet.Envelope frames that carry the operation's correlation id, the
 // initiator to reply to, and an optional deadline. The network cost of every
 // step is accounted separately on the fabric with the same wire messages the
-// chained executor sends (lookupMsg, rangeMsg, resultMsg, ...), so message
+// direct executor sends (lookupMsg, rangeMsg, resultMsg, ...), so message
 // and byte counts are identical across executors; the structures below carry
-// only the per-step control state a handler needs to continue the operation.
+// only the per-step state a handler needs to drive the next step.
 
-// routeStepMsg is one iteration of Algorithm 1's routing loop: inspect the
-// peer it was delivered to, stop if the operation's predicate holds, else
-// forward to a reference in the complementary subtrie. budget bounds the
-// remaining iterations exactly like the chained loop's hop cap, so a
+// routeStepMsg is one iteration of Algorithm 1's routing loop (routeStep)
+// at the peer it was delivered to. budget is the iterations left, counted
+// down exactly as the direct executor's loop counts them, so a
 // non-converging route fails with ErrRoutingExhausted after the same number
 // of messages.
 type routeStepMsg struct {
@@ -28,30 +27,20 @@ type routeStepMsg struct {
 func (routeStepMsg) Size() int    { return 0 }
 func (routeStepMsg) Kind() string { return "pgrid.step.route" }
 
-// multiStepMsg is one node of the batched multicast: serve the keys this
-// partition is responsible for, split the rest over sibling subtries.
-type multiStepMsg struct {
-	keys  []hashedKey
+// castStepMsg is one node of a multicast (castStep): serve the part of the
+// cast this partition owns, forward the rest into the sibling subtries at
+// levels >= scope.
+type castStepMsg struct {
+	c     cast
 	scope int
 	hops  int64
 }
 
-func (multiStepMsg) Size() int    { return 0 }
-func (multiStepMsg) Kind() string { return "pgrid.step.multi" }
+func (castStepMsg) Size() int    { return 0 }
+func (castStepMsg) Kind() string { return "pgrid.step.cast" }
 
-// showerStepMsg is one node of the shower multicast: serve the overlapping
-// range locally, forward into every overlapping sibling subtrie.
-type showerStepMsg struct {
-	scope int
-	hops  int64
-}
-
-func (showerStepMsg) Size() int    { return 0 }
-func (showerStepMsg) Kind() string { return "pgrid.step.shower" }
-
-// applyMsg applies a routed insert or delete at a structural replica.
+// applyMsg lands a routed insert or delete at a structural replica.
 type applyMsg struct {
-	del  bool
 	hops int64
 }
 

@@ -14,10 +14,10 @@ import (
 // so the whole operation observes a single consistent trie even while Join,
 // Leave and RefreshRefs publish new epochs concurrently.
 //
-// The operators themselves run on a pluggable executor (see exec.go): the
-// chained executor walks the trie with direct calls and virtual-time
-// arithmetic (the paper's shared-memory model), while the actor executor
-// runs every routing step, shower split and result return as a message
+// Each operator is a set of per-peer steps (step.go) driven by a pluggable
+// executor (see exec.go): the chained executor drives them by direct
+// recursion with virtual-time arithmetic (the paper's shared-memory model),
+// while the actor executor runs every step and result return as a message
 // handler on a discrete-event runtime with per-peer mailboxes and service
 // times (actor.go).
 
@@ -56,11 +56,10 @@ func routeSalt(k keys.Key) uint64 {
 // randomized across peers, levels and salts (the paper's randomized routing
 // keeps expected search cost at 0.5*log N regardless of trie shape) but is a
 // pure function of its inputs: no shared RNG state, so concurrent query
-// branches stay race-free and a fixed seed yields identical routes under the
-// serial, concurrent and actor runtimes. Remaining redundant references serve
-// as fallback when peers are down. References tombstoned in the query's own
-// epoch (possible only when a whole subtrie was irreparable) are skipped like
-// crashed ones.
+// branches stay race-free and a fixed seed yields identical routes under
+// either executor. Remaining redundant references serve as fallback when
+// peers are down. References tombstoned in the query's own epoch (possible
+// only when a whole subtrie was irreparable) are skipped like crashed ones.
 //
 // With Config.LatencyAwareRefs set and a latency model installed, the live
 // candidates are ranked by their expected link delay from p instead: the
@@ -120,13 +119,6 @@ func (g *Grid) LookupAt(t *metrics.Tally, from simnet.NodeID, k keys.Key, start 
 	return g.exec.lookup(g.snapshot(), t, from, k, start)
 }
 
-// hashedKey pairs an original key with its hashed-space image during batched
-// routing.
-type hashedKey struct {
-	orig keys.Key
-	h    keys.Key
-}
-
 // MultiLookup retrieves postings for a batch of full-length keys with one
 // multicast over the trie instead of one routed lookup per key — the
 // optimization Section 4 describes as collecting "the calls to Retrieve() and
@@ -146,21 +138,13 @@ func (g *Grid) MultiLookupAt(t *metrics.Tally, from simnet.NodeID, ks []keys.Key
 	return g.exec.multiLookup(g.snapshot(), t, from, g.hashKeys(ks), start)
 }
 
-// hashKeys pairs each key with its hashed-space image; the synchronous and
-// asynchronous multicast entry points share it.
+// hashKeys pairs each key with its hashed-space image.
 func (g *Grid) hashKeys(ks []keys.Key) []hashedKey {
 	hks := make([]hashedKey, len(ks))
 	for i, k := range ks {
 		hks[i] = hashedKey{orig: k, h: g.h.hash(k)}
 	}
 	return hks
-}
-
-// subtrieBranch is one forward into a sibling subtrie during a multicast.
-type subtrieBranch struct {
-	level int
-	next  simnet.NodeID
-	keys  []hashedKey // multicast only
 }
 
 // RangeOptions customizes a range query.
@@ -189,8 +173,7 @@ func (g *Grid) RangeQuery(t *metrics.Tally, from simnet.NodeID, iv keys.Interval
 // errInvalidInterval rejects ranges whose bounds are out of order.
 var errInvalidInterval = errors.New("pgrid: invalid interval (Lo after Hi)")
 
-// hashInterval validates a range and maps it to hashed space; the
-// synchronous and asynchronous range entry points share it.
+// hashInterval validates a range and maps it to hashed space.
 func (g *Grid) hashInterval(iv keys.Interval) (keys.Interval, error) {
 	if !iv.Valid() {
 		return keys.Interval{}, errInvalidInterval
@@ -226,7 +209,8 @@ func (g *Grid) PrefixQueryAt(t *metrics.Tally, from simnet.NodeID, prefix keys.K
 // hop and every replica update costs one message; replica pushes depart
 // together from the responsible peer.
 func (g *Grid) Insert(t *metrics.Tally, from simnet.NodeID, k keys.Key, posting triples.Posting) error {
-	return g.exec.insert(g.snapshot(), t, from, k, posting)
+	_, err := g.exec.write(g.snapshot(), t, from, &write{key: k, hk: g.h.hash(k), posting: posting})
+	return err
 }
 
 func boolInt64(b bool) int64 {
@@ -241,7 +225,7 @@ func boolInt64(b bool) int64 {
 // the posting instead of scanning the key's run. It reports whether anything
 // was deleted.
 func (g *Grid) DeletePosting(t *metrics.Tally, from simnet.NodeID, k keys.Key, p triples.Posting) (bool, error) {
-	return g.exec.remove(g.snapshot(), t, from, k, &removal{posting: p})
+	return g.exec.write(g.snapshot(), t, from, &write{key: k, hk: g.h.hash(k), rm: &removal{posting: p}})
 }
 
 // Delete is DeletePosting for the first posting under k that match accepts
@@ -252,5 +236,5 @@ func (g *Grid) Delete(t *metrics.Tally, from simnet.NodeID, k keys.Key, match fu
 	if match == nil {
 		match = func(triples.Posting) bool { return true }
 	}
-	return g.exec.remove(g.snapshot(), t, from, k, &removal{match: match})
+	return g.exec.write(g.snapshot(), t, from, &write{key: k, hk: g.h.hash(k), rm: &removal{match: match}})
 }

@@ -141,39 +141,53 @@ func TestLossyLookupsRecoverWithRetry(t *testing.T) {
 
 // TestDegradedReadsKeepPartialResults: when the retry budget cannot beat the
 // loss (a permanent total-loss window), reads degrade — nil error, empty
-// results, unanswered probes tallied — instead of failing. With the policy
-// off, the same queries surface errors.
+// results, unanswered probes tallied — instead of failing, on both executors
+// and for routed lookups and range queries alike. With the policy off, the
+// same queries surface errors.
 func TestDegradedReadsKeepPartialResults(t *testing.T) {
 	plan := &simnet.FaultPlan{DropRate: 1, Seed: 1}
-	g, _ := lossyGrid(t, 16, 200, plan, func(c *Config) {
-		c.Retry.MaxAttempts = 2
-		c.Retry.Backoff = 1
-	})
-	var tally metrics.Tally
-	sawUnanswered := false
-	for i := 0; i < 50; i++ {
-		if _, err := g.Lookup(&tally, g.RandomPeer(), testKey(i)); err != nil {
-			t.Fatalf("degraded Lookup(%d) surfaced error: %v", i, err)
-		}
+	reads := []struct {
+		name string
+		read func(g *Grid, tally *metrics.Tally, i int) error
+	}{
+		{"Lookup", func(g *Grid, tally *metrics.Tally, i int) error {
+			_, err := g.Lookup(tally, g.RandomPeer(), testKey(i))
+			return err
+		}},
+		{"RangeQuery", func(g *Grid, tally *metrics.Tally, i int) error {
+			_, err := g.RangeQuery(tally, g.RandomPeer(), keys.Interval{Lo: testKey(i), Hi: testKey(i + 20)}, RangeOptions{})
+			return err
+		}},
 	}
-	if tally.Unanswered > 0 && tally.UnansweredCount() > 0 {
-		sawUnanswered = true
-	}
-	if !sawUnanswered || g.RobustStats().Unanswered == 0 {
-		t.Errorf("total loss produced no unanswered probes (tally=%d)", tally.Unanswered)
-	}
+	for _, mode := range []ExecMode{ExecChain, ExecActor} {
+		for _, r := range reads {
+			name, read := r.name, r.read
+			g, _ := lossyGrid(t, 16, 200, plan, func(c *Config) {
+				c.Exec = mode
+				c.Retry.MaxAttempts = 2
+				c.Retry.Backoff = 1
+			})
+			var tally metrics.Tally
+			for i := 0; i < 50; i++ {
+				if err := read(g, &tally, i); err != nil {
+					t.Fatalf("%v: degraded %s(%d) surfaced error: %v", mode, name, i, err)
+				}
+			}
+			if tally.Unanswered == 0 || tally.UnansweredCount() == 0 || g.RobustStats().Unanswered == 0 {
+				t.Errorf("%v: total loss produced no unanswered %s probes (tally=%d)", mode, name, tally.Unanswered)
+			}
 
-	// Same fabric, policy off: errors must surface.
-	g2, _ := lossyGrid(t, 16, 200, plan, func(c *Config) { c.Retry = RetryConfig{} })
-	sawErr := false
-	for i := 0; i < 50 && !sawErr; i++ {
-		var tl metrics.Tally
-		if _, err := g2.Lookup(&tl, g2.RandomPeer(), testKey(i)); err != nil {
-			sawErr = true
+			// Same fabric, policy off: errors must surface.
+			g2, _ := lossyGrid(t, 16, 200, plan, func(c *Config) { c.Exec = mode; c.Retry = RetryConfig{} })
+			sawErr := false
+			for i := 0; i < 50 && !sawErr; i++ {
+				var tl metrics.Tally
+				sawErr = read(g2, &tl, i) != nil
+			}
+			if !sawErr {
+				t.Errorf("%v: total loss with the policy disabled surfaced no %s error", mode, name)
+			}
 		}
-	}
-	if !sawErr {
-		t.Error("total loss with the policy disabled surfaced no error")
 	}
 }
 

@@ -70,8 +70,8 @@ func TestChurnAllocsFlatAtScale(t *testing.T) {
 	checkTrieInvariants(t, big)
 }
 
-// BenchmarkMembershipAtScale is the BENCH_10 membership headline: the cost of
-// one steady-state Join+Leave pair as the grid grows 1k -> 100k peers. With
+// BenchmarkMembershipAtScale measures the cost of one steady-state
+// Join+Leave pair as the grid grows 1k -> 100k peers. With
 // chunked copy-on-write epoch tables the per-op allocation count is flat and
 // the time grows only with the binary searches, not with table-clone size.
 func BenchmarkMembershipAtScale(b *testing.B) {
