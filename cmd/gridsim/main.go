@@ -547,7 +547,7 @@ func runWorkload(eng *core.Engine, corpus []string, m ops.Method, mixes int, see
 
 	const driver = simnet.NodeID(0)
 	rt := asyncnet.NewRuntime()
-	rt.Register(driver, 1<<20, 0, func(rt *asyncnet.Runtime, ev asyncnet.Event) {
+	rt.Register(driver, 0, func(rt *asyncnet.Runtime, ev asyncnet.Event) {
 		switch ev.Msg.(type) {
 		case mixEvent:
 			round := ev.Msg.(mixEvent).round
@@ -851,20 +851,17 @@ func printActorLoad(eng *core.Engine) {
 		return
 	}
 	loads := rt.AllStats()
-	var (
-		totalQueued, totalBusy simnet.VTime
-		maxBacklog, dropped    int
-	)
+	var totalQueued, totalBusy simnet.VTime
+	maxBacklog := 0
 	for _, l := range loads {
 		totalQueued += l.Stats.QueueDelay
 		totalBusy += l.Stats.Busy
 		if l.Stats.MaxBacklog > maxBacklog {
 			maxBacklog = l.Stats.MaxBacklog
 		}
-		dropped += l.Stats.DroppedFull + l.Stats.DroppedDown
 	}
-	fmt.Printf("actors:   queued-total=%s busy-total=%s max-backlog=%d dropped=%d\n",
-		totalQueued, totalBusy, maxBacklog, dropped)
+	fmt.Printf("actors:   queued-total=%s busy-total=%s max-backlog=%d\n",
+		totalQueued, totalBusy, maxBacklog)
 	sort.Slice(loads, func(i, j int) bool {
 		si, sj := loads[i].Stats, loads[j].Stats
 		if si.Busy != sj.Busy {
@@ -876,7 +873,7 @@ func printActorLoad(eng *core.Engine) {
 		return loads[i].ID < loads[j].ID
 	})
 	const top = 8
-	rows := [][]string{{"peer", "busy", "share", "delivered", "queued", "q-p50", "q-p99", "max-backlog", "dropped"}}
+	rows := [][]string{{"peer", "busy", "share", "delivered", "queued", "q-p50", "q-p99", "max-backlog"}}
 	for i, l := range loads {
 		if i >= top || (l.Stats.Busy == 0 && l.Stats.Delivered == 0) {
 			break
@@ -894,7 +891,6 @@ func printActorLoad(eng *core.Engine) {
 			l.Stats.QueueP50.String(),
 			l.Stats.QueueP99.String(),
 			fmt.Sprint(l.Stats.MaxBacklog),
-			fmt.Sprint(l.Stats.DroppedFull + l.Stats.DroppedDown),
 		})
 	}
 	if len(rows) == 1 {

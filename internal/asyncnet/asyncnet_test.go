@@ -1,6 +1,7 @@
 package asyncnet
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -17,26 +18,24 @@ type testMsg struct {
 func (m testMsg) Size() int    { return m.size }
 func (m testMsg) Kind() string { return "test" }
 
-// buildPingPong wires a deterministic two-actor exchange: actor 0 forwards
+// runPingPong wires a deterministic two-actor exchange: actor 0 forwards
 // every received message to actor 1 with a hash-derived delay and vice
-// versa, for a bounded number of rounds.
+// versa, for a bounded number of rounds. It returns the deliveries in
+// processing order.
 func runPingPong(seed int64) []string {
 	rt := NewRuntime()
 	var log []string
-	trace := func(ev Event) {
-		log = append(log, fmt.Sprintf("%d->%d@%d:%d", ev.From, ev.To, ev.At, ev.Msg.(testMsg).id))
-	}
-	rt.SetTrace(trace)
 	handler := func(rt *Runtime, ev Event) {
 		m := ev.Msg.(testMsg)
+		log = append(log, fmt.Sprintf("%d->%d@%d:%d", ev.From, ev.To, ev.At, m.id))
 		if m.id >= 20 {
 			return
 		}
 		delay := simnet.VTime(simnet.Splitmix64(uint64(seed)^uint64(m.id))%1000 + 1)
 		_ = rt.Post(ev.To, 1-ev.To, testMsg{id: m.id + 1, size: 8}, delay)
 	}
-	rt.Register(0, 64, 5, handler)
-	rt.Register(1, 64, 5, handler)
+	rt.Register(0, 5, handler)
+	rt.Register(1, 5, handler)
 	// Three interleaved seed messages at identical times exercise FIFO
 	// tie-breaking.
 	_ = rt.Post(0, 1, testMsg{id: 0, size: 8}, 10)
@@ -69,7 +68,7 @@ func TestRuntimeDeterministicOrder(t *testing.T) {
 func TestRuntimeVirtualClockAdvances(t *testing.T) {
 	rt := NewRuntime()
 	var got []simnet.VTime
-	rt.Register(7, 8, 0, func(rt *Runtime, ev Event) {
+	rt.Register(7, 0, func(rt *Runtime, ev Event) {
 		got = append(got, ev.At)
 	})
 	for _, d := range []simnet.VTime{500, 100, 300} {
@@ -87,70 +86,13 @@ func TestRuntimeVirtualClockAdvances(t *testing.T) {
 	}
 }
 
-// TestRuntimeMailboxBackpressure floods an actor whose mailbox holds two
-// messages: the excess is dropped and counted, accepted messages are
-// processed serially spaced by the service time.
-func TestRuntimeMailboxBackpressure(t *testing.T) {
+// TestRuntimePostToUnregisteredActorFails: Post refuses a destination that
+// was never registered.
+func TestRuntimePostToUnregisteredActorFails(t *testing.T) {
 	rt := NewRuntime()
-	var starts []simnet.VTime
-	rt.Register(3, 2, 10, func(rt *Runtime, ev Event) {
-		starts = append(starts, ev.At)
-	})
-	for i := 0; i < 5; i++ {
-		if err := rt.Post(0, 3, testMsg{id: i}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt.Run()
-	st := rt.Stats(3)
-	if st.Delivered != 2 || st.DroppedFull != 3 {
-		t.Fatalf("delivered=%d droppedFull=%d, want 2/3", st.Delivered, st.DroppedFull)
-	}
-	if fmt.Sprint(starts) != fmt.Sprint([]simnet.VTime{0, 10}) {
-		t.Fatalf("processing starts %v, want [0 10]", starts)
-	}
-	if st.Pending != 0 {
-		t.Fatalf("pending=%d after drain", st.Pending)
-	}
-}
-
-// TestRuntimeDownActorDropsDeliveries verifies messages to a downed actor
-// are dropped (and counted) until it recovers.
-func TestRuntimeDownActorDropsDeliveries(t *testing.T) {
-	rt := NewRuntime()
-	delivered := 0
-	rt.Register(1, 4, 0, func(rt *Runtime, ev Event) { delivered++ })
-	rt.SetDown(1, true)
-	_ = rt.Post(0, 1, testMsg{}, 0)
-	rt.Run()
-	if delivered != 0 || rt.Stats(1).DroppedDown != 1 {
-		t.Fatalf("delivered=%d droppedDown=%d, want 0/1", delivered, rt.Stats(1).DroppedDown)
-	}
-	rt.SetDown(1, false)
-	_ = rt.Post(0, 1, testMsg{}, 0)
-	rt.Run()
-	if delivered != 1 {
-		t.Fatalf("delivered=%d after recovery, want 1", delivered)
-	}
-	if err := rt.Post(0, 99, testMsg{}, 0); err == nil {
-		t.Fatal("posting to unregistered actor should fail")
-	}
-}
-
-// TestRuntimeRunUntil checks the bounded drain leaves future events queued.
-func TestRuntimeRunUntil(t *testing.T) {
-	rt := NewRuntime()
-	delivered := 0
-	rt.Register(0, 4, 0, func(rt *Runtime, ev Event) { delivered++ })
-	_ = rt.Post(0, 0, testMsg{}, 100)
-	_ = rt.Post(0, 0, testMsg{}, 900)
-	rt.RunUntil(500)
-	if delivered != 1 || rt.Now() != 500 {
-		t.Fatalf("delivered=%d now=%d, want 1 at 500", delivered, rt.Now())
-	}
-	rt.Run()
-	if delivered != 2 {
-		t.Fatalf("delivered=%d after full drain, want 2", delivered)
+	rt.Register(1, 0, func(rt *Runtime, ev Event) {})
+	if err := rt.Post(0, 99, testMsg{}, 0); !errors.Is(err, ErrNoActor) {
+		t.Fatalf("Post to unregistered actor: err = %v, want ErrNoActor", err)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestServiceRateScalesWithSize(t *testing.T) {
 		rt := NewRuntime()
 		rt.SetServiceRate(rate)
 		var last simnet.VTime
-		rt.Register(1, 16, 100, func(rt *Runtime, ev Event) { last = rt.Now() })
+		rt.Register(1, 100, func(rt *Runtime, ev Event) { last = rt.Now() })
 		rt.Post(0, 1, sizedMsg(1<<20), 0) // 1 MiB: 1s of tx at 1MiB/s
 		rt.Post(0, 1, sizedMsg(0), 0)     // queued behind it
 		rt.Drain(nil)

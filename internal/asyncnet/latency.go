@@ -7,9 +7,10 @@
 //     simulated end-to-end latency and hop count in addition to message and
 //     byte counts;
 //   - a deterministic discrete-event actor runtime (runtime.go) with
-//     per-peer mailboxes, virtual clock, backpressure, and failure handling,
-//     on which the actor executor runs the operators and which drives
-//     churn/latency scenarios on a virtual timeline.
+//     per-peer mailboxes and service times on a virtual clock, on which the
+//     actor executor runs the operators and which drives churn/latency
+//     scenarios on a virtual timeline. It never fails a message: faults
+//     live on the fabric (simnet.FaultPlan, simnet.Network.SetDown).
 package asyncnet
 
 import (

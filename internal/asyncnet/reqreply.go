@@ -1,8 +1,6 @@
 package asyncnet
 
 import (
-	"errors"
-
 	"repro/internal/simnet"
 )
 
@@ -13,21 +11,9 @@ import (
 // travel back as Envelope messages with IsReply set and are dispatched to
 // the continuation after paying the initiator's mailbox wait and service
 // time (replies queue like any other message — a congested initiator is
-// slow to absorb its own results). Failures reach the continuation too:
-//
-//   - a request dropped en route (down actor, full mailbox, expired
-//     deadline) fails the call at the drop's virtual instant, so callers can
-//     retry on another peer immediately instead of waiting for a timeout;
-//   - a dropped reply fails the call the same way;
-//   - a timeout scheduled by Call fires a control event that fails the call
-//     if it is still open.
-//
-// Multi-shot calls (Open with multi=true) keep receiving replies until
-// Close; the shower/range operators use them to harvest streamed results
-// from many peers under one correlation id.
-
-// ErrTimeout reports a call whose reply did not arrive by its deadline.
-var ErrTimeout = errors.New("asyncnet: request timed out")
+// slow to absorb its own results). A call receives every reply addressed to
+// it until Close; the operators harvest streamed results from many peers
+// under one correlation id this way.
 
 // CorrID correlates a request with its replies.
 type CorrID uint64
@@ -40,16 +26,10 @@ type Envelope struct {
 	Corr CorrID
 	// ReplyTo is the node replies should be addressed to (requests only).
 	ReplyTo simnet.NodeID
-	// Deadline, when nonzero, is the absolute virtual time after which the
-	// request is stale: arrival past the deadline drops it and fails the
-	// call.
-	Deadline simnet.VTime
 	// Payload is the operator message.
 	Payload simnet.Message
 	// IsReply marks reply envelopes, dispatched to the call continuation.
 	IsReply bool
-	// Err carries a remote failure instead of a payload on replies.
-	Err error
 }
 
 // Size implements simnet.Message by deferring to the payload.
@@ -71,255 +51,43 @@ func (e Envelope) Kind() string {
 	return "asyncnet.request"
 }
 
-// ReplyFn consumes one reply (or failure) of a call. ev is the delivery
-// event at the reply-to actor; on failures synthesized from drops or
-// timeouts, ev describes the dropped message and payload is nil.
-type ReplyFn func(rt *Runtime, ev Event, payload simnet.Message, err error)
+// ReplyFn consumes one reply of a call. ev is the delivery event at the
+// reply-to actor.
+type ReplyFn func(rt *Runtime, ev Event, payload simnet.Message)
 
-// call is one open continuation.
-type call struct {
-	fn    ReplyFn
-	multi bool
-	// timer is the pending timeout control event of a Call, cancelled (removed
-	// from the event heap) the moment the call completes: a stale timer left
-	// behind would keep Run stepping dead control events and would spin the
-	// clock forward on no-ops during a drain-once loop.
-	timer *item
-}
-
-// Open registers a continuation and returns a fresh correlation id. With
-// multi set the continuation receives every reply until Close; otherwise the
-// first reply (or failure) closes the call and later replies count as late.
-func (rt *Runtime) Open(multi bool, fn ReplyFn) CorrID {
+// Open registers a continuation and returns a fresh correlation id. The
+// continuation receives every reply until Close.
+func (rt *Runtime) Open(fn ReplyFn) CorrID {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextCorr++
 	corr := CorrID(rt.nextCorr)
-	rt.calls[corr] = &call{fn: fn, multi: multi}
+	rt.calls[corr] = fn
 	return corr
 }
 
-// Close deregisters a call, reporting whether it was still open, and cancels
-// its pending timeout timer. Replies arriving after Close are dropped and
-// counted as late.
+// Close deregisters a call, reporting whether it was still open. Replies
+// arriving after Close are discarded.
 func (rt *Runtime) Close(corr CorrID) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	c, ok := rt.calls[corr]
-	if ok && rt.cancelLocked(c.timer) && rt.tracer != nil {
-		rt.tracer.Record(TraceRecord{At: rt.now, Kind: TraceCancel, Op: uint64(corr), Msg: "timeout"})
-	}
+	_, ok := rt.calls[corr]
 	delete(rt.calls, corr)
 	return ok
 }
 
-// LateReplies reports replies that arrived after their call was closed
-// (usually after a timeout fired).
-func (rt *Runtime) LateReplies() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.lateReplies
-}
-
-// lookupCall fetches the continuation for a correlation id, removing it for
-// single-shot calls. countLate marks a miss as a late reply; failure paths
-// (timeout timers, drop nacks) pass false, since firing against an
-// already-completed call is their normal no-op, not a lost reply.
-func (rt *Runtime) lookupCall(corr CorrID, countLate bool) (*call, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	c, ok := rt.calls[corr]
-	if !ok {
-		if countLate {
-			rt.lateReplies++
-		}
-		return nil, false
-	}
-	if !c.multi {
-		delete(rt.calls, corr)
-		// The call is settled; its timeout timer must not fire (and, during
-		// a drain, must not advance the clock as a dead event).
-		if rt.cancelLocked(c.timer) && rt.tracer != nil {
-			rt.tracer.Record(TraceRecord{At: rt.now, Kind: TraceCancel, Op: uint64(corr), Msg: "timeout"})
-		}
-	}
-	return c, true
-}
-
 // dispatchReply routes a processed reply envelope to its continuation.
 func (rt *Runtime) dispatchReply(ev Event, env Envelope) {
-	c, ok := rt.lookupCall(env.Corr, true)
-	if !ok {
-		return
+	rt.mu.Lock()
+	fn := rt.calls[env.Corr]
+	rt.mu.Unlock()
+	if fn != nil {
+		fn(rt, ev, env.Payload)
 	}
-	c.fn(rt, ev, env.Payload, env.Err)
-}
-
-// failCall fails a call with the given reason, e.g. on a dropped request or
-// an expired deadline. Single-shot calls close; multi-shot calls stay open
-// (one lost branch must not tear down a streamed harvest).
-func (rt *Runtime) failCall(corr CorrID, ev Event, reason error) {
-	c, ok := rt.lookupCall(corr, false)
-	if !ok {
-		return
-	}
-	c.fn(rt, ev, nil, reason)
 }
 
 // Reply sends the answer of a request envelope back to its caller, arriving
-// at the given absolute virtual time (the sender accounts link latency). The
-// request's deadline carries over: a reply landing past it is dropped and
-// fails the call, instead of being delivered stale.
+// at the given absolute virtual time (the sender accounts link latency).
 func (rt *Runtime) Reply(from simnet.NodeID, req Envelope, payload simnet.Message, at simnet.VTime) error {
-	return rt.PostAt(from, req.ReplyTo, Envelope{
-		Corr:     req.Corr,
-		Deadline: req.Deadline,
-		Payload:  payload,
-		IsReply:  true,
-	}, at)
-}
-
-// ReplyErr reports a remote failure back to the caller.
-func (rt *Runtime) ReplyErr(from simnet.NodeID, req Envelope, err error, at simnet.VTime) error {
-	return rt.PostAt(from, req.ReplyTo,
-		Envelope{Corr: req.Corr, Deadline: req.Deadline, IsReply: true, Err: err}, at)
-}
-
-// Call posts a single request and registers a single-shot continuation. The
-// request arrives after delay; a nonzero timeout schedules a control event
-// that fails the call with ErrTimeout if no reply (or drop failure) arrived
-// first. The timer is cancelled — removed from the event heap — as soon as
-// the call settles, so a completed call leaves no dead control event behind.
-// The correlation id is returned so callers may Close early.
-func (rt *Runtime) Call(from, to simnet.NodeID, payload simnet.Message, delay, timeout simnet.VTime, fn ReplyFn) (CorrID, error) {
-	corr := rt.Open(false, fn)
-	env := Envelope{Corr: corr, ReplyTo: from, Payload: payload}
-	if timeout > 0 {
-		rt.mu.Lock()
-		env.Deadline = rt.now + delay + timeout
-		timer := rt.afterLocked(delay+timeout, func(rt *Runtime, at simnet.VTime) {
-			// The timer only survives in the heap while the call is open
-			// (settling cancels it), so firing means a real timeout.
-			if tr := rt.Tracer(); tr != nil {
-				tr.Record(TraceRecord{At: at, Kind: TraceTimeout, From: from, To: to,
-					Op: uint64(corr), Msg: env.Kind(), Size: env.Size()})
-			}
-			rt.failCall(corr, Event{At: at, From: from, To: to, Msg: env}, ErrTimeout)
-		})
-		if c, ok := rt.calls[corr]; ok {
-			c.timer = timer
-		}
-		rt.mu.Unlock()
-	}
-	if err := rt.Post(from, to, env, delay); err != nil {
-		rt.Close(corr)
-		return 0, err
-	}
-	return corr, nil
-}
-
-// RetryPolicy governs CallPolicy: how many attempts a call may spend, which
-// failures it retries, and how retransmissions back off on the virtual
-// timeline.
-type RetryPolicy struct {
-	// MaxAttempts caps total send attempts across all candidates
-	// (0 = one attempt per candidate).
-	MaxAttempts int
-	// Backoff is the virtual-time delay before the first retransmission,
-	// doubling on each further one. Zero retransmits at the failure's
-	// virtual instant. Failing over to the next candidate after a dead or
-	// saturated peer is always immediate: the drop nack arrives at a known
-	// instant, there is nothing to wait out.
-	Backoff simnet.VTime
-	// MaxBackoff caps the exponential growth (0 = uncapped).
-	MaxBackoff simnet.VTime
-	// Budget bounds the total virtual time from the first send: a
-	// retransmission that would start past the budget is not attempted and
-	// the call fails with the error in hand (0 = unbounded).
-	Budget simnet.VTime
-	// RetryLoss additionally retries in-transit losses and timeouts
-	// (simnet.ErrLinkLoss, ErrTimeout) by retransmitting to the same
-	// candidate with backoff. Without it only dead or saturated peers
-	// (ErrActorDown, ErrMailboxFull) advance the candidate list, which is
-	// CallRetry's historical behavior.
-	RetryLoss bool
-}
-
-// retryable classifies an error under the policy: advance to the next
-// candidate (dead peer), retransmit to the same one (loss), or give up.
-func (p RetryPolicy) retryable(err error) (failover, retransmit bool) {
-	if errors.Is(err, ErrActorDown) || errors.Is(err, ErrMailboxFull) {
-		return true, false
-	}
-	if p.RetryLoss && (errors.Is(err, ErrTimeout) || errors.Is(err, simnet.ErrLinkLoss)) {
-		return false, true
-	}
-	return false, false
-}
-
-// CallPolicy is Call under a retry policy over an ordered candidate list:
-// dead or saturated peers fail over to the next candidate at the drop's
-// virtual instant; lost or timed-out requests (with RetryLoss) retransmit to
-// the same candidate after an exponentially growing backoff, scheduled as a
-// control event on the virtual timeline. The continuation observes only the
-// final outcome. Every attempt's timeout timer is cancelled when it settles
-// and backoff events fire exactly once, so a settled chain leaves no dead
-// events in the heap.
-func (rt *Runtime) CallPolicy(from simnet.NodeID, candidates []simnet.NodeID, payload simnet.Message, delay, timeout simnet.VTime, pol RetryPolicy, fn ReplyFn) error {
-	if len(candidates) == 0 {
-		return ErrNoActor
-	}
-	max := pol.MaxAttempts
-	if max <= 0 {
-		max = len(candidates)
-	}
-	start := rt.Now()
-	var attempt func(n, ci int, backoff simnet.VTime) error
-	attempt = func(n, ci int, backoff simnet.VTime) error {
-		_, err := rt.Call(from, candidates[ci], payload, delay, timeout, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-			// Posting errors on a re-attempt surface through the
-			// continuation, not a return value.
-			again := func(ci int, backoff simnet.VTime) {
-				if postErr := attempt(n+1, ci, backoff); postErr != nil {
-					fn(rt, ev, nil, postErr)
-				}
-			}
-			failover, retransmit := pol.retryable(err)
-			switch {
-			case err == nil || n+1 >= max:
-			case failover && ci+1 < len(candidates):
-				again(ci+1, backoff)
-				return
-			case retransmit:
-				if pol.Budget > 0 && rt.Now()+backoff-start > pol.Budget {
-					break // out of budget: deliver the loss
-				}
-				next := backoff * 2
-				if pol.MaxBackoff > 0 && next > pol.MaxBackoff {
-					next = pol.MaxBackoff
-				}
-				if backoff <= 0 {
-					again(ci, next)
-					return
-				}
-				rt.After(backoff, func(rt *Runtime, at simnet.VTime) {
-					again(ci, next)
-				})
-				return
-			}
-			fn(rt, ev, p, err)
-		})
-		return err
-	}
-	return attempt(0, 0, pol.Backoff)
-}
-
-// CallRetry is Call over an ordered candidate list: a request dropped at a
-// dead or saturated peer advances to the next candidate at the drop's
-// virtual instant, and the continuation observes only the final outcome —
-// the retry-on-dead-peer pattern of redundant routing references. It is
-// CallPolicy under the zero policy (one attempt per candidate, no
-// retransmissions).
-func (rt *Runtime) CallRetry(from simnet.NodeID, candidates []simnet.NodeID, payload simnet.Message, delay, timeout simnet.VTime, fn ReplyFn) error {
-	return rt.CallPolicy(from, candidates, payload, delay, timeout, RetryPolicy{}, fn)
+	return rt.PostAt(from, req.ReplyTo, Envelope{Corr: req.Corr, Payload: payload, IsReply: true}, at)
 }

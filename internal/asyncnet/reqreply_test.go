@@ -1,293 +1,44 @@
 package asyncnet
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/simnet"
 )
 
-// echoHandler replies to every request envelope with the same payload after
-// a fixed turnaround.
-func echoHandler(turnaround simnet.VTime) Handler {
-	return func(rt *Runtime, ev Event) {
-		env, ok := ev.Msg.(Envelope)
-		if !ok || env.IsReply {
-			return
-		}
-		_ = rt.Reply(ev.To, env, env.Payload, ev.At+turnaround)
-	}
-}
-
-// TestCallReply covers the happy path: the continuation receives the echoed
-// payload at the virtual time the reply reaches (and is processed by) the
-// caller.
-func TestCallReply(t *testing.T) {
-	rt := NewRuntime()
-	rt.Register(1, 8, 0, echoHandler(50))
-	rt.Register(2, 8, 0, nil)
-	var got simnet.Message
-	var at simnet.VTime
-	if _, err := rt.Call(2, 1, testMsg{id: 9}, 10, 0, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		if err != nil {
-			t.Errorf("continuation error: %v", err)
-		}
-		got, at = p, ev.At
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if got == nil || got.(testMsg).id != 9 {
-		t.Fatalf("reply payload = %v", got)
-	}
-	if at != 60 { // 10 request + 50 turnaround
-		t.Fatalf("reply processed at %d, want 60", at)
-	}
-	if rt.LateReplies() != 0 {
-		t.Fatalf("late replies = %d", rt.LateReplies())
-	}
-
-	// A timed call whose reply arrives in time must not be miscounted when
-	// its (now moot) timeout timer eventually fires.
-	ok := false
-	if _, err := rt.Call(2, 1, testMsg{id: 1}, 10, 10_000, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		ok = err == nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run() // drains both the reply and the timeout control event
-	if !ok {
-		t.Fatal("timed call did not complete successfully")
-	}
-	if rt.LateReplies() != 0 {
-		t.Fatalf("moot timeout counted as late reply: LateReplies = %d", rt.LateReplies())
-	}
-}
-
-// TestCallTimeout pins the timeout event: a silent peer fails the call with
-// ErrTimeout at the deadline, and the eventual reply — carrying the
-// propagated deadline — is dropped as expired rather than dispatched.
-func TestCallTimeout(t *testing.T) {
-	rt := NewRuntime()
-	rt.Register(1, 8, 0, echoHandler(500)) // replies long after the deadline
-	rt.Register(2, 8, 0, nil)
-	var errs []error
-	if _, err := rt.Call(2, 1, testMsg{}, 10, 100, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		errs = append(errs, err)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if len(errs) != 1 || !errors.Is(errs[0], ErrTimeout) {
-		t.Fatalf("continuation outcomes = %v, want one ErrTimeout", errs)
-	}
-	if rt.LateReplies() != 0 {
-		t.Fatalf("expired reply counted as late: LateReplies = %d", rt.LateReplies())
-	}
-
-	// A deadline-free reply to an already-closed call is the genuine
-	// late-reply case.
-	corr := rt.Open(false, func(rt *Runtime, ev Event, p simnet.Message, err error) {})
-	rt.Close(corr)
-	if err := rt.Reply(1, Envelope{Corr: corr, ReplyTo: 2}, testMsg{}, rt.Now()+5); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if rt.LateReplies() != 1 {
-		t.Fatalf("late replies = %d, want 1", rt.LateReplies())
-	}
-}
-
-// TestCallDropNacksImmediately: a request dropped at a down actor fails the
-// call at the drop's virtual instant — long before the timeout — so callers
-// can retry immediately.
-func TestCallDropNacksImmediately(t *testing.T) {
-	rt := NewRuntime()
-	rt.Register(1, 8, 0, echoHandler(0))
-	rt.Register(2, 8, 0, nil)
-	rt.SetDown(1, true)
-	var gotErr error
-	var at simnet.VTime
-	if _, err := rt.Call(2, 1, testMsg{}, 10, 10_000, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		gotErr, at = err, rt.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if !errors.Is(gotErr, ErrActorDown) {
-		t.Fatalf("continuation error = %v, want ErrActorDown", gotErr)
-	}
-	if at != 10 {
-		t.Fatalf("failure observed at %d, want 10 (the drop instant)", at)
-	}
-}
-
-// TestCallRetryFindsLivePeer walks the candidate list across two dead peers
-// and a full mailbox before succeeding on the live one.
-func TestCallRetryFindsLivePeer(t *testing.T) {
-	rt := NewRuntime()
-	rt.Register(1, 8, 0, echoHandler(5))
-	rt.Register(2, 8, 0, echoHandler(5))
-	rt.Register(3, 8, 0, echoHandler(5))
-	rt.Register(9, 8, 0, nil)
-	rt.SetDown(1, true)
-	rt.SetDown(2, true)
-	var ok bool
-	err := rt.CallRetry(9, []simnet.NodeID{1, 2, 3}, testMsg{id: 4}, 10, 0,
-		func(rt *Runtime, ev Event, p simnet.Message, err error) {
-			if err != nil {
-				t.Errorf("final outcome error: %v", err)
-				return
-			}
-			ok = p.(testMsg).id == 4
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if !ok {
-		t.Fatal("retry chain did not reach the live peer")
-	}
-
-	// All candidates dead: the final outcome is the last drop error.
-	rt.SetDown(3, true)
-	var finalErr error
-	if err := rt.CallRetry(9, []simnet.NodeID{1, 2, 3}, testMsg{}, 10, 0,
-		func(rt *Runtime, ev Event, p simnet.Message, err error) { finalErr = err }); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if !errors.Is(finalErr, ErrActorDown) {
-		t.Fatalf("exhausted retry error = %v, want ErrActorDown", finalErr)
-	}
-}
-
-// TestEnvelopeDeadlineExpiresInFlight: a request whose deadline passes while
-// it is still in flight is dropped on arrival and fails its call with
-// ErrTimeout.
-func TestEnvelopeDeadlineExpiresInFlight(t *testing.T) {
-	rt := NewRuntime()
-	delivered := 0
-	rt.Register(1, 8, 0, func(rt *Runtime, ev Event) { delivered++ })
-	var gotErr error
-	corr := rt.Open(false, func(rt *Runtime, ev Event, p simnet.Message, err error) { gotErr = err })
-	env := Envelope{Corr: corr, ReplyTo: 0, Deadline: 50, Payload: testMsg{}}
-	if err := rt.Post(0, 1, env, 80); err != nil { // arrives at 80 > deadline 50
-		t.Fatal(err)
-	}
-	rt.Run()
-	if delivered != 0 {
-		t.Fatal("expired request still reached the handler")
-	}
-	if !errors.Is(gotErr, ErrTimeout) {
-		t.Fatalf("expiry error = %v, want ErrTimeout", gotErr)
-	}
-}
-
-// TestMultiCallStreamsReplies: a multi-shot call harvests replies from many
-// peers under one correlation id, survives individual drop failures, and
-// stops only at Close.
+// TestMultiCallStreamsReplies: a call harvests replies from many peers under
+// one correlation id, each at the virtual time it reaches the initiator, and
+// stops only at Close: a reply arriving after Close is discarded.
 func TestMultiCallStreamsReplies(t *testing.T) {
 	rt := NewRuntime()
 	const initiator = simnet.NodeID(0)
-	rt.Register(initiator, 64, 0, nil)
-	var replies, failures int
-	corr := rt.Open(true, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		if err != nil {
-			failures++
-			return
-		}
-		replies++
+	rt.Register(initiator, 0, nil)
+	var replies []string
+	corr := rt.Open(func(rt *Runtime, ev Event, p simnet.Message) {
+		replies = append(replies, fmt.Sprintf("%d@%d", p.(testMsg).id, ev.At))
 	})
 	req := Envelope{Corr: corr, ReplyTo: initiator}
 	for i := 1; i <= 5; i++ {
 		id := simnet.NodeID(i)
-		rt.Register(id, 8, 0, nil)
+		rt.Register(id, 0, nil)
 		if err := rt.Reply(id, req, testMsg{id: i}, simnet.VTime(i*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One request dropped at a dead peer feeds a failure into the same call
-	// without closing it.
-	rt.Register(99, 8, 0, nil)
-	rt.SetDown(99, true)
-	if err := rt.Post(initiator, 99, Envelope{Corr: corr, ReplyTo: initiator, Payload: testMsg{}}, 1); err != nil {
-		t.Fatal(err)
-	}
 	rt.Run()
-	if replies != 5 || failures != 1 {
-		t.Fatalf("replies=%d failures=%d, want 5/1", replies, failures)
+	if want := "[1@10 2@20 3@30 4@40 5@50]"; fmt.Sprint(replies) != want {
+		t.Fatalf("replies = %v, want %s", replies, want)
 	}
 	if !rt.Close(corr) {
-		t.Fatal("multi call closed itself")
+		t.Fatal("call closed itself")
 	}
-}
-
-// TestCallTimerCancelledOnReply is the stale-timer regression: a Call whose
-// reply arrives in time must cancel its timeout control event — remove it
-// from the event heap — the moment the call settles. A leftover timer would
-// keep Run stepping dead control events and would spin the virtual clock
-// forward on no-ops during a drain-once loop.
-func TestCallTimerCancelledOnReply(t *testing.T) {
-	rt := NewRuntime()
-	rt.Register(1, 8, 0, echoHandler(50))
-	rt.Register(2, 8, 0, nil)
-	const timeout = simnet.VTime(1_000_000)
-	ok := false
-	if _, err := rt.Call(2, 1, testMsg{id: 3}, 10, timeout, func(rt *Runtime, ev Event, p simnet.Message, err error) {
-		ok = err == nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	steps := rt.Run()
-	if !ok {
-		t.Fatal("timed call did not complete successfully")
-	}
-	// Heap must be empty after the successful call: the reply settled the
-	// call and cancelled the timer in place.
-	if n := rt.PendingEvents(); n != 0 {
-		t.Fatalf("event heap holds %d events after a successful call, want 0", n)
-	}
-	// The clock stops at the reply's processing instant; a surviving timer
-	// would have dragged it to the timeout deadline.
-	if now := rt.Now(); now != 60 {
-		t.Fatalf("virtual clock at %d after the call, want 60 (not the %d timeout)", now, 10+timeout)
-	}
-	// Run/Drain on the settled runtime are no-ops: no dead control events.
-	if again := rt.Run(); again != 0 {
-		t.Fatalf("Run stepped %d dead events after completion (first Run: %d)", again, steps)
-	}
-	if n := rt.Drain(nil); n != 0 {
-		t.Fatalf("Drain stepped %d dead events after completion", n)
-	}
-
-	// The drop-nack path settles the call too: its timer must also go.
-	rt.SetDown(1, true)
-	if _, err := rt.Call(2, 1, testMsg{}, 10, timeout, func(rt *Runtime, ev Event, p simnet.Message, err error) {}); err != nil {
+	if err := rt.Reply(1, req, testMsg{id: 6}, rt.Now()+10); err != nil {
 		t.Fatal(err)
 	}
 	rt.Run()
-	if n := rt.PendingEvents(); n != 0 {
-		t.Fatalf("event heap holds %d events after a drop-nacked call, want 0", n)
-	}
-
-	// CallRetry walks candidates with one timer per attempt; all of them must
-	// be cancelled once the chain settles on the live peer.
-	rt.SetDown(1, false)
-	rt.Register(3, 8, 0, echoHandler(5))
-	rt.SetDown(1, true)
-	if err := rt.CallRetry(2, []simnet.NodeID{1, 3}, testMsg{id: 8}, 10, timeout,
-		func(rt *Runtime, ev Event, p simnet.Message, err error) {
-			if err != nil {
-				t.Errorf("retry outcome: %v", err)
-			}
-		}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run()
-	if n := rt.PendingEvents(); n != 0 {
-		t.Fatalf("event heap holds %d events after a settled retry chain, want 0", n)
+	if len(replies) != 5 {
+		t.Fatalf("reply after Close reached the continuation: %v", replies)
 	}
 }
 
@@ -298,7 +49,7 @@ func TestCallTimerCancelledOnReply(t *testing.T) {
 func TestDrainRespectsIssueWindow(t *testing.T) {
 	rt := NewRuntime()
 	var order []int
-	rt.Register(1, 8, 0, func(rt *Runtime, ev Event) {
+	rt.Register(1, 0, func(rt *Runtime, ev Event) {
 		order = append(order, ev.Msg.(testMsg).id)
 	})
 	// A later event is already scheduled; the gated issuer will post an
@@ -329,7 +80,7 @@ func TestDrainRespectsIssueWindow(t *testing.T) {
 func TestRuntimeQueueAndBusyStats(t *testing.T) {
 	rt := NewRuntime()
 	var waits []simnet.VTime
-	rt.Register(5, 16, 10, func(rt *Runtime, ev Event) {
+	rt.Register(5, 10, func(rt *Runtime, ev Event) {
 		waits = append(waits, ev.At-ev.Enqueued)
 	})
 	for i := 0; i < 4; i++ {

@@ -12,17 +12,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Runtime errors.
-var (
-	// ErrMailboxFull is counted when a message arrives at an actor whose
-	// mailbox is at capacity; the message is dropped (backpressure).
-	ErrMailboxFull = errors.New("asyncnet: mailbox full")
-	// ErrNoActor is returned by Post for an unregistered destination.
-	ErrNoActor = errors.New("asyncnet: no such actor")
-	// ErrActorDown marks a message dropped because the destination actor was
-	// down at arrival time.
-	ErrActorDown = errors.New("asyncnet: actor down")
-)
+// ErrNoActor is returned by Post for an unregistered destination.
+var ErrNoActor = errors.New("asyncnet: no such actor")
 
 // Event is one message delivery in the discrete-event runtime.
 type Event struct {
@@ -48,14 +39,10 @@ type Handler func(rt *Runtime, ev Event)
 const (
 	kindArrival = iota // message reaches the destination mailbox
 	kindProcess        // actor starts processing a queued message
-	kindControl        // scheduler callback (timers, deadlines)
+	kindControl        // scheduler callback (driver timers, see After)
 )
 
 // item is a heap entry: an arrival, a processing start, or a control event.
-// Items are heap-allocated and track their index so schedulers can cancel
-// them in place (heap.Remove) instead of stepping dead events — a timeout
-// timer whose call already completed must not spin the clock forward during
-// a drain.
 type item struct {
 	at   simnet.VTime
 	seq  uint64 // tie-break: FIFO among simultaneous events
@@ -63,7 +50,6 @@ type item struct {
 	ev   Event
 	svc  simnet.VTime                       // kindProcess only: service charged at arrival
 	fn   func(rt *Runtime, at simnet.VTime) // kindControl only
-	idx  int                                // heap index; -1 once popped or removed
 }
 
 type eventHeap []*item
@@ -75,43 +61,30 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*item)
-	it.idx = len(*h)
-	*h = append(*h, it)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*item)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	x := old[n-1]
 	old[n-1] = nil
-	x.idx = -1
 	*h = old[:n-1]
 	return x
 }
 
-// actor is one registered peer: a mailbox with bounded capacity and a serial
-// processor with a fixed per-message service time.
+// actor is one registered peer: a mailbox and a serial processor with a
+// fixed per-message service time.
 type actor struct {
 	id        simnet.NodeID
 	handler   Handler
-	capacity  int
 	pending   int // messages accepted but not yet processed
 	busyUntil simnet.VTime
 	service   simnet.VTime
-	down      bool
 
-	delivered   int
-	droppedFull int
-	droppedDown int
-	maxPending  int
-	waitTotal   simnet.VTime // sum of (processing start - arrival) over deliveries
-	busyTotal   simnet.VTime // sum of service time over deliveries
+	delivered  int
+	maxPending int
+	waitTotal  simnet.VTime // sum of (processing start - arrival) over deliveries
+	busyTotal  simnet.VTime // sum of service time over deliveries
 
 	// waitBuckets histograms per-message mailbox waits into power-of-two
 	// buckets (index = bit length of the wait in µs), so queue percentiles
@@ -123,11 +96,9 @@ type actor struct {
 
 // ActorStats reports one actor's counters.
 type ActorStats struct {
-	Delivered   int // messages processed by the handler
-	DroppedFull int // messages dropped to mailbox backpressure
-	DroppedDown int // messages dropped while the actor was down
-	Pending     int // messages queued but not yet processed
-	MaxBacklog  int // largest mailbox depth ever observed (backpressure)
+	Delivered  int // messages processed by the handler
+	Pending    int // messages queued but not yet processed
+	MaxBacklog int // largest mailbox depth ever observed
 	// QueueDelay is the total virtual time accepted messages waited in the
 	// mailbox before processing started.
 	QueueDelay simnet.VTime
@@ -146,17 +117,19 @@ type ActorLoad struct {
 }
 
 // Runtime is a deterministic discrete-event scheduler: each registered actor
-// owns a bounded mailbox and processes one message at a time with a fixed
-// service time; messages posted with a delay are delivered in (time, FIFO)
-// order by a single scheduler goroutine, so a fixed schedule of Posts always
-// yields the same delivery order regardless of wall-clock timing.
+// owns a mailbox and processes one message at a time with a fixed service
+// time; messages posted with a delay are delivered in (time, FIFO) order by a
+// single scheduler goroutine, so a fixed schedule of Posts always yields the
+// same delivery order regardless of wall-clock timing. The runtime never
+// fails a posted message: every arrival is queued and processed. Faults
+// (loss, crashed peers) belong to the fabric (simnet.FaultPlan,
+// simnet.Network.SetDown), where the operators handle them.
 type Runtime struct {
 	mu     sync.Mutex
 	now    simnet.VTime
 	seq    uint64
 	heap   eventHeap
 	actors map[simnet.NodeID]*actor
-	trace  func(Event)
 	tracer *Tracer
 
 	// issuers counts open issue windows (see BeginIssue): goroutines that
@@ -176,42 +149,33 @@ type Runtime struct {
 	// Bandwidth latency model's wire term.
 	svcRate int64
 
-	// fault injection: envelopes can be lost in transit (see SetFaults).
-	faults    *simnet.FaultPlan
-	faultSeq  map[uint64]uint64
-	lossDrops int
-
 	// request/reply state (see reqreply.go).
-	nextCorr    uint64
-	calls       map[CorrID]*call
-	lateReplies int
+	nextCorr uint64
+	calls    map[CorrID]ReplyFn
 }
 
 // NewRuntime returns an empty runtime at virtual time zero.
 func NewRuntime() *Runtime {
 	rt := &Runtime{
 		actors: make(map[simnet.NodeID]*actor),
-		calls:  make(map[CorrID]*call),
+		calls:  make(map[CorrID]ReplyFn),
 	}
 	rt.issueCond = sync.NewCond(&rt.issueMu)
 	return rt
 }
 
-// Register adds an actor. capacity bounds the mailbox (minimum 1); service
-// is the virtual processing time per message (0 = instantaneous). For an
-// existing id only the handler, capacity and service time are updated, so
-// in-flight mailbox accounting survives re-registration.
-func (rt *Runtime) Register(id simnet.NodeID, capacity int, service simnet.VTime, h Handler) {
-	if capacity < 1 {
-		capacity = 1
-	}
+// Register adds an actor. service is the virtual processing time per
+// message (0 = instantaneous). For an existing id only the handler and
+// service time are updated, so in-flight mailbox accounting survives
+// re-registration.
+func (rt *Runtime) Register(id simnet.NodeID, service simnet.VTime, h Handler) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if a, ok := rt.actors[id]; ok {
-		a.handler, a.capacity, a.service = h, capacity, service
+		a.handler, a.service = h, service
 		return
 	}
-	rt.actors[id] = &actor{id: id, handler: h, capacity: capacity, service: service}
+	rt.actors[id] = &actor{id: id, handler: h, service: service}
 }
 
 // SetServiceRate makes every actor's service time message-size dependent: a
@@ -225,28 +189,9 @@ func (rt *Runtime) SetServiceRate(bytesPerSec int64) {
 	rt.svcRate = bytesPerSec
 }
 
-// SetDown marks an actor failed or healthy. Messages arriving at a downed
-// actor are dropped and counted; queued messages survive until the actor
-// processes them (it may have recovered by then).
-func (rt *Runtime) SetDown(id simnet.NodeID, down bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if a, ok := rt.actors[id]; ok {
-		a.down = down
-	}
-}
-
-// SetTrace installs a callback invoked for every processed delivery, in
-// delivery order. Pass nil to remove.
-func (rt *Runtime) SetTrace(fn func(Event)) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.trace = fn
-}
-
-// SetTracer installs a lifecycle tracer recording enqueue/start/end/drop and
-// timeout transitions for every message on the runtime. Pass nil to disable;
-// with no tracer installed every hook is a single nil check.
+// SetTracer installs a lifecycle tracer recording the enqueue/start/end
+// transitions of every message on the runtime. Pass nil to disable; with no
+// tracer installed every hook is a single nil check.
 func (rt *Runtime) SetTracer(t *Tracer) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -258,50 +203,6 @@ func (rt *Runtime) Tracer() *Tracer {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.tracer
-}
-
-// SetFaults installs (nil removes) a loss model on the runtime itself:
-// request/reply envelopes are dropped at their arrival instant and fail their
-// call through the drop-nack path, exactly as a down actor or full mailbox
-// would — so loss surfaces to CallPolicy's retry machinery, never as a silent
-// hang. Only envelopes are subject to loss; bare messages are delivery
-// commitments whose senders already accounted (and possibly lost) them on the
-// fabric. Per-link sequence numbers restart on every call, so reinstalling
-// the same plan replays the same drop schedule.
-func (rt *Runtime) SetFaults(plan *simnet.FaultPlan) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.faults = plan
-	rt.faultSeq = nil
-	if plan != nil {
-		rt.faultSeq = make(map[uint64]uint64)
-	}
-}
-
-// LossDrops reports how many envelopes the runtime's fault plan has dropped.
-func (rt *Runtime) LossDrops() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.lossDrops
-}
-
-// lostLocked advances the link sequence number and draws the loss decision
-// for an arriving envelope. Must run under rt.mu.
-func (rt *Runtime) lostLocked(ev Event, at simnet.VTime) bool {
-	if rt.faults == nil || ev.From == ev.To {
-		return false
-	}
-	if _, ok := ev.Msg.(Envelope); !ok {
-		return false
-	}
-	link := uint64(uint32(ev.From))<<32 | uint64(uint32(ev.To))
-	seq := rt.faultSeq[link]
-	rt.faultSeq[link] = seq + 1
-	if rt.faults.Drop(ev.From, ev.To, seq, at) {
-		rt.lossDrops++
-		return true
-	}
-	return false
 }
 
 // opOf extracts the owning operation's correlation id from a message (0 for
@@ -350,30 +251,11 @@ func (rt *Runtime) postLocked(from, to simnet.NodeID, msg simnet.Message, at sim
 }
 
 // After schedules fn to run on the scheduler at Now()+delay. Control events
-// bypass mailboxes and service times; the request/reply facility uses them
-// for timeouts, and drivers may use them as timers.
+// bypass mailboxes and service times; drivers use them as timers.
 func (rt *Runtime) After(delay simnet.VTime, fn func(rt *Runtime, at simnet.VTime)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.afterLocked(delay, fn)
-}
-
-// afterLocked schedules a control event under rt.mu and returns its heap
-// item so the caller may cancel it (see cancelLocked).
-func (rt *Runtime) afterLocked(delay simnet.VTime, fn func(rt *Runtime, at simnet.VTime)) *item {
-	it := &item{at: rt.now + delay, kind: kindControl, fn: fn}
-	rt.push(it)
-	return it
-}
-
-// cancelLocked removes a scheduled item from the heap if it has not fired
-// yet, reporting whether it did. Must run under rt.mu.
-func (rt *Runtime) cancelLocked(it *item) bool {
-	if it != nil && it.idx >= 0 {
-		heap.Remove(&rt.heap, it.idx)
-		return true
-	}
-	return false
+	rt.push(&item{at: rt.now + delay, kind: kindControl, fn: fn})
 }
 
 // push assigns the FIFO sequence under rt.mu.
@@ -381,16 +263,6 @@ func (rt *Runtime) push(it *item) {
 	it.seq = rt.seq
 	rt.seq++
 	heap.Push(&rt.heap, it)
-}
-
-// PendingEvents reports the number of scheduled events (arrivals, processing
-// starts and live control events). A runtime whose calls all completed holds
-// none: completed calls cancel their timeout timers instead of leaving them
-// in the heap.
-func (rt *Runtime) PendingEvents() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.heap.Len()
 }
 
 // Step processes the next event, advancing the virtual clock. It returns
@@ -418,70 +290,40 @@ func (rt *Runtime) Step() bool {
 	tracer := rt.tracer
 	switch it.kind {
 	case kindArrival:
-		var dropErr error
-		lost := rt.lostLocked(it.ev, it.at)
-		expired := false
-		if env, ok := it.ev.Msg.(Envelope); ok && env.Deadline > 0 && rt.now > env.Deadline {
-			expired = true
+		a.pending++
+		if a.pending > a.maxPending {
+			a.maxPending = a.pending
 		}
-		switch {
-		case lost:
-			dropErr = simnet.ErrLinkLoss
-		case expired:
-			dropErr = ErrTimeout
-		case a == nil || a.down:
-			if a != nil {
-				a.droppedDown++
-			}
-			dropErr = ErrActorDown
-		case a.pending >= a.capacity:
-			a.droppedFull++
-			dropErr = ErrMailboxFull
-		default:
-			a.pending++
-			if a.pending > a.maxPending {
-				a.maxPending = a.pending
-			}
-			svc := a.service
-			if rt.svcRate > 0 && it.ev.Msg != nil {
-				svc += TxTime(rt.svcRate, it.ev.Msg.Size())
-			}
-			start := rt.now
-			if a.busyUntil > start {
-				start = a.busyUntil
-			}
-			a.busyUntil = start + svc
-			wait := start - rt.now
-			a.waitTotal += wait
-			a.busyTotal += svc
-			a.waitBuckets[bits.Len64(uint64(wait))]++
-			if wait > a.maxWait {
-				a.maxWait = wait
-			}
-			ev := it.ev
-			ev.Enqueued = rt.now
-			ev.At = start
-			rt.push(&item{at: start, kind: kindProcess, ev: ev, svc: svc})
+		svc := a.service
+		if rt.svcRate > 0 && it.ev.Msg != nil {
+			svc += TxTime(rt.svcRate, it.ev.Msg.Size())
 		}
+		start := rt.now
+		if a.busyUntil > start {
+			start = a.busyUntil
+		}
+		a.busyUntil = start + svc
+		wait := start - rt.now
+		a.waitTotal += wait
+		a.busyTotal += svc
+		a.waitBuckets[bits.Len64(uint64(wait))]++
+		if wait > a.maxWait {
+			a.maxWait = wait
+		}
+		ev := it.ev
+		ev.Enqueued = rt.now
+		ev.At = start
+		rt.push(&item{at: start, kind: kindProcess, ev: ev, svc: svc})
 		rt.mu.Unlock()
 		if tracer != nil {
 			m := it.ev.Msg
-			if dropErr != nil {
-				tracer.Record(TraceRecord{At: it.at, Kind: TraceDrop, From: it.ev.From, To: it.ev.To,
-					Op: opOf(m), Msg: m.Kind(), Size: m.Size(), Note: dropErr.Error()})
-			} else {
-				tracer.Record(TraceRecord{At: it.at, Kind: TraceEnqueue, From: it.ev.From, To: it.ev.To,
-					Op: opOf(m), Msg: m.Kind(), Size: m.Size()})
-			}
-		}
-		if dropErr != nil {
-			rt.notifyDrop(it.ev, dropErr)
+			tracer.Record(TraceRecord{At: it.at, Kind: TraceEnqueue, From: it.ev.From, To: it.ev.To,
+				Op: opOf(m), Msg: m.Kind(), Size: m.Size()})
 		}
 	case kindProcess:
 		a.pending--
 		a.delivered++
 		handler := a.handler
-		trace := rt.trace
 		ev := it.ev
 		rt.mu.Unlock()
 		if tracer != nil {
@@ -491,9 +333,6 @@ func (rt *Runtime) Step() bool {
 				Op: op, Msg: kind, Size: size, Wait: ev.At - ev.Enqueued})
 			tracer.Record(TraceRecord{At: ev.At + it.svc, Kind: TraceEnd, From: ev.From, To: ev.To,
 				Op: op, Msg: kind, Size: size, Wait: it.svc})
-		}
-		if trace != nil {
-			trace(ev)
 		}
 		// Reply envelopes dispatch to the registered continuation; everything
 		// else (requests included) goes to the actor's handler. Either way the
@@ -507,16 +346,6 @@ func (rt *Runtime) Step() bool {
 		}
 	}
 	return true
-}
-
-// notifyDrop routes a dropped envelope to whoever is waiting on it: request
-// envelopes fail their registered call at the drop's virtual instant (so
-// callers can retry on a live peer immediately), reply envelopes fail the
-// call they were answering. Runs outside rt.mu.
-func (rt *Runtime) notifyDrop(ev Event, reason error) {
-	if env, ok := ev.Msg.(Envelope); ok {
-		rt.failCall(env.Corr, ev, reason)
-	}
 }
 
 // Run drains the event queue, returning the number of processed events.
@@ -553,8 +382,8 @@ func (rt *Runtime) EndIssue() {
 	rt.issueMu.Unlock()
 }
 
-// OpenIssues reports the number of open issue windows.
-func (rt *Runtime) OpenIssues() int64 {
+// openIssues reports the number of open issue windows.
+func (rt *Runtime) openIssues() int64 {
 	rt.issueMu.Lock()
 	defer rt.issueMu.Unlock()
 	return rt.issuers
@@ -592,31 +421,12 @@ func (rt *Runtime) Drain(done func() bool) int {
 			n++
 			continue
 		}
-		if done == nil && rt.OpenIssues() == 0 {
+		if done == nil && rt.openIssues() == 0 {
 			return n
 		}
 		// Heap empty but the caller's predicate not yet satisfied (a body is
 		// between its last EndIssue and signalling completion): yield briefly.
 		runtime.Gosched()
-	}
-}
-
-// RunUntil processes events up to and including virtual time deadline,
-// advancing the clock to the deadline. Later events stay queued.
-func (rt *Runtime) RunUntil(deadline simnet.VTime) int {
-	n := 0
-	for {
-		rt.mu.Lock()
-		if rt.heap.Len() == 0 || rt.heap[0].at > deadline {
-			if rt.now < deadline {
-				rt.now = deadline
-			}
-			rt.mu.Unlock()
-			return n
-		}
-		rt.mu.Unlock()
-		rt.Step()
-		n++
 	}
 }
 
@@ -633,15 +443,13 @@ func (rt *Runtime) Stats(id simnet.NodeID) ActorStats {
 
 func (a *actor) stats() ActorStats {
 	return ActorStats{
-		Delivered:   a.delivered,
-		DroppedFull: a.droppedFull,
-		DroppedDown: a.droppedDown,
-		Pending:     a.pending,
-		MaxBacklog:  a.maxPending,
-		QueueDelay:  a.waitTotal,
-		Busy:        a.busyTotal,
-		QueueP50:    a.waitQuantile(0.50),
-		QueueP99:    a.waitQuantile(0.99),
+		Delivered:  a.delivered,
+		Pending:    a.pending,
+		MaxBacklog: a.maxPending,
+		QueueDelay: a.waitTotal,
+		Busy:       a.busyTotal,
+		QueueP50:   a.waitQuantile(0.50),
+		QueueP99:   a.waitQuantile(0.99),
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 //
 // A Tracer records every message lifecycle transition the discrete-event
 // runtime (and, via the fabric bridge in core, every wire send) goes through:
-// operation issue, send, mailbox enqueue, service start/end, drop-nacks and
-// timeout cancellations — each stamped with its virtual time, the link's peer
-// ids and the owning operation's correlation id. The record stream makes a
+// operation issue, send, fabric drop, mailbox enqueue and service start/end —
+// each stamped with its virtual time, the link's peer ids and the owning
+// operation's correlation id. The record stream makes a
 // query's critical path literally visible: which message waited where, behind
 // whose work, on the one shared timeline.
 //
@@ -51,14 +51,10 @@ const (
 	TraceStart
 	// TraceEnd marks service end; Wait is the service time.
 	TraceEnd
-	// TraceDrop marks a message dropped at arrival (down actor, full mailbox,
-	// expired deadline); Note carries the reason.
+	// TraceDrop marks a wire message the fabric refused or lost (a down
+	// peer, the fault plan's loss); core's fabric bridge records it and Note
+	// carries the reason. The runtime itself never drops a message.
 	TraceDrop
-	// TraceCancel marks a timeout timer removed from the heap because its
-	// call settled first (timeout-cancel).
-	TraceCancel
-	// TraceTimeout marks a timeout timer firing against a still-open call.
-	TraceTimeout
 )
 
 // String names the kind for exports.
@@ -76,10 +72,6 @@ func (k TraceKind) String() string {
 		return "end"
 	case TraceDrop:
 		return "drop"
-	case TraceCancel:
-		return "cancel"
-	case TraceTimeout:
-		return "timeout"
 	default:
 		return "unknown"
 	}
@@ -280,9 +272,9 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 
 // WriteChromeTrace writes the retained records in the Chrome trace_event JSON
 // object format. Each peer is a thread track (tid = peer id): service
-// intervals become B/E duration slices named by message kind, sends, drops,
-// issues and cancellations become instant events. Load the file via
-// chrome://tracing or https://ui.perfetto.dev.
+// intervals become B/E duration slices named by message kind; sends, drops
+// and issues become instant events. Load the file via chrome://tracing or
+// https://ui.perfetto.dev.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
@@ -342,8 +334,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			// Enqueue is implied by the B slice's wait_us; a separate instant
 			// per message would double the event count without adding signal.
 			continue
-		case TraceCancel, TraceTimeout:
-			err = emit('i', r.Kind.String(), r.At, r.To, r)
 		}
 		if err != nil {
 			return err

@@ -22,8 +22,8 @@ func runTracedPingPong(seed int64, capacity int) []byte {
 		delay := simnet.VTime(simnet.Splitmix64(uint64(seed)^uint64(m.id))%1000 + 1)
 		_ = rt.Post(ev.To, 1-ev.To, testMsg{id: m.id + 1, size: 8}, delay)
 	}
-	rt.Register(0, 64, 5, handler)
-	rt.Register(1, 64, 5, handler)
+	rt.Register(0, 5, handler)
+	rt.Register(1, 5, handler)
 	_ = rt.Post(0, 1, testMsg{id: 0, size: 8}, 10)
 	_ = rt.Post(1, 0, testMsg{id: 0, size: 8}, 10)
 	_ = rt.Post(0, 1, testMsg{id: 10, size: 8}, 10)
@@ -151,7 +151,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	rt := NewRuntime()
 	tr := NewTracer(0)
 	rt.SetTracer(tr)
-	rt.Register(0, 8, 5, func(rt *Runtime, ev Event) {})
+	rt.Register(0, 5, func(rt *Runtime, ev Event) {})
 	_ = rt.Post(0, 0, testMsg{id: 1, size: 8}, 10)
 	rt.Run()
 	var b bytes.Buffer
@@ -190,7 +190,7 @@ func BenchmarkStepTracer(b *testing.B) {
 		if traced {
 			rt.SetTracer(NewTracer(0))
 		}
-		rt.Register(0, 1<<20, 1, func(rt *Runtime, ev Event) {})
+		rt.Register(0, 1, func(rt *Runtime, ev Event) {})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

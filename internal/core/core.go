@@ -44,8 +44,8 @@ const (
 	RuntimeDirect RuntimeMode = iota
 	// RuntimeActor runs the operators themselves as message handlers on the
 	// asyncnet discrete-event runtime: every peer is an actor with a mailbox
-	// and a service time, making queueing delay, backpressure and per-peer
-	// load first-class observables. Results, routes and hop counts are
+	// and a service time, making queueing delay and per-peer load
+	// first-class observables. Results, routes and hop counts are
 	// identical to RuntimeDirect for the same seed; with zero service time
 	// its latency is the critical path of the logically parallel branches.
 	RuntimeActor
@@ -106,9 +106,6 @@ type Config struct {
 	// time proportional to their bytes. 0 keeps messages size-free, the
 	// paper's cost model.
 	Bandwidth int64
-	// Mailbox bounds each peer's actor mailbox in actor mode (0 =
-	// effectively unbounded).
-	Mailbox int
 	// LatencyAwareRefs routes via the live reference with the lowest
 	// expected link latency instead of the hashed choice (needs Latency).
 	LatencyAwareRefs bool
@@ -180,7 +177,6 @@ func (c *Config) normalize() {
 	if c.Runtime == RuntimeActor {
 		c.Grid.Exec = pgrid.ExecActor
 		c.Grid.Service = simnet.VTimeOf(c.Service)
-		c.Grid.Mailbox = c.Mailbox
 	}
 	if c.Bandwidth > 0 {
 		c.Latency = asyncnet.Bandwidth{Base: c.Latency, BytesPerSec: c.Bandwidth}

@@ -34,8 +34,8 @@ type observe struct {
 // Registry returns the engine's metrics registry, building it on first use.
 // Families cover the paper's global message/byte accounting per message kind,
 // per-query latency/hops/queueing histograms, grid membership gauges, and —
-// on actor engines — per-peer delivered/dropped counters, busy and
-// queue-wait time, backlog high-water and live queue percentiles.
+// on actor engines — per-peer delivered counters, busy and queue-wait time,
+// backlog high-water and live queue percentiles.
 func (e *Engine) Registry() *metrics.Registry {
 	e.obs.once.Do(func() { e.obs.registry = e.buildRegistry() })
 	return e.obs.registry
@@ -213,23 +213,6 @@ func (e *Engine) registerPeerFamilies(r *metrics.Registry, rt *asyncnet.Runtime)
 	r.Counter("pgrid_peer_delivered_total",
 		"Messages processed by each peer's actor.",
 		perPeer(func(s asyncnet.ActorStats) float64 { return float64(s.Delivered) }))
-	r.Counter("pgrid_peer_dropped_total",
-		"Messages dropped at each peer, by reason (full mailbox or down actor).",
-		func() []metrics.Sample {
-			loads := rt.AllStats()
-			out := make([]metrics.Sample, 0, 2*len(loads))
-			for _, l := range loads {
-				peer := strconv.Itoa(int(l.ID))
-				out = append(out,
-					metrics.Sample{Labels: []metrics.Label{
-						{Name: "peer", Value: peer}, {Name: "reason", Value: "full"}},
-						Value: float64(l.Stats.DroppedFull)},
-					metrics.Sample{Labels: []metrics.Label{
-						{Name: "peer", Value: peer}, {Name: "reason", Value: "down"}},
-						Value: float64(l.Stats.DroppedDown)})
-			}
-			return out
-		})
 	r.Counter("pgrid_peer_busy_seconds_total",
 		"Virtual service time each peer spent processing messages.",
 		perPeer(func(s asyncnet.ActorStats) float64 { return secs(s.Busy) }))

@@ -14,9 +14,9 @@ import (
 )
 
 // actorExec runs query operators as message handlers on a discrete-event
-// runtime: every peer is an actor with a bounded mailbox and a per-message
-// service time, and every routing step, multicast node, replica apply and
-// result return is a real request or reply message with a correlation id.
+// runtime: every peer is an actor with a mailbox and a per-message service
+// time, and every routing step, multicast node, replica apply and result
+// return is a real request or reply message with a correlation id.
 // The handlers drive the same per-peer steps as the direct executor
 // (step.go), one step per delivered message. Congestion is therefore
 // modelled, not simulated by arithmetic: messages wait behind earlier work in
@@ -42,7 +42,6 @@ type actorExec struct {
 	g       *Grid
 	rt      *asyncnet.Runtime
 	service simnet.VTime
-	mailbox int
 
 	// draining is nonzero while a drain loop owns the runtime (group). In
 	// that regime operation waiters park on their completion signal instead
@@ -60,21 +59,11 @@ type actorExec struct {
 	ops map[asyncnet.CorrID]*actorOp
 }
 
-// actorMailboxDefault effectively unbounds mailboxes unless the
-// configuration asks for backpressure studies: dropping operator messages
-// would diverge from the chained executor's results.
-const actorMailboxDefault = 1 << 20
-
 func newActorExec(g *Grid) *actorExec {
-	mb := g.cfg.Mailbox
-	if mb <= 0 {
-		mb = actorMailboxDefault
-	}
 	x := &actorExec{
 		g:       g,
 		rt:      asyncnet.NewRuntime(),
 		service: g.cfg.Service,
-		mailbox: mb,
 		ops:     make(map[asyncnet.CorrID]*actorOp),
 	}
 	x.rt.SetServiceRate(g.cfg.ServiceRate)
@@ -93,7 +82,7 @@ func (x *actorExec) gatedSelf() bool {
 // in-flight operation on an older epoch may still address them, and its view
 // keeps their stores readable (the drain semantics of epoch snapshots).
 func (x *actorExec) attach(id simnet.NodeID) {
-	x.rt.Register(id, x.mailbox, x.service, x.handle)
+	x.rt.Register(id, x.service, x.handle)
 }
 
 // awaitWriteDrain waits out in-flight write applies. Actor-mode applies are
@@ -144,7 +133,7 @@ func (k opKind) String() string {
 // actorOp is the in-flight state of one operation: its epoch snapshot,
 // parameters, result collector and the outstanding-message counter that
 // detects completion (an operation is done when every posted message has
-// been processed, dropped or failed).
+// been processed or failed).
 type actorOp struct {
 	corr asyncnet.CorrID
 	x    *actorExec
@@ -156,10 +145,6 @@ type actorOp struct {
 	// the runtime clock is monotonic across operations, while callers chain
 	// operations from explicit start times.
 	base simnet.VTime
-	// deadline, when nonzero, is the runtime-timeline instant after which
-	// the operation's messages are stale: arrivals past it are dropped by
-	// the runtime and fail their step with ErrTimeout.
-	deadline simnet.VTime
 
 	// route is the routed leg of every operation but the batched multicast.
 	// Where it stops, a lookup serves key, a range query starts the shower
@@ -229,7 +214,7 @@ func (op *actorOp) recordErr(err error) {
 	op.mu.Unlock()
 }
 
-// fail resolves one in-flight message with a failure (dropped or unpostable).
+// fail resolves one in-flight message with a failure (an unpostable message).
 func (op *actorOp) fail(err error) {
 	op.recordErr(err)
 	op.finishMsg()
@@ -257,13 +242,7 @@ func (op *actorOp) observe(hops int64, endRT simnet.VTime) {
 // result-return continuation under a fresh correlation id.
 func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind opKind, start simnet.VTime) (*actorOp, simnet.VTime) {
 	op := &actorOp{x: x, v: v, t: t, from: from, kind: kind, done: make(chan struct{})}
-	op.corr = x.rt.Open(true, func(rt *asyncnet.Runtime, ev asyncnet.Event, payload simnet.Message, err error) {
-		if err != nil {
-			// A dropped protocol message (deadline, mailbox, runtime-level
-			// loss) fails its branch like any other failed step.
-			op.fail(x.g.branchErr(op.t, op.w != nil, err))
-			return
-		}
+	op.corr = x.rt.Open(func(rt *asyncnet.Runtime, ev asyncnet.Event, payload simnet.Message) {
 		// The reply paid the initiator's mailbox wait and service time like
 		// any other message; harvest it.
 		op.t.AddQueue(int64(ev.At - ev.Enqueued))
@@ -278,9 +257,6 @@ func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind op
 	}
 	op.base = at - start
 	op.maxEnd = at
-	if x.g.cfg.Deadline > 0 {
-		op.deadline = at + x.g.cfg.Deadline
-	}
 	x.mu.Lock()
 	x.ops[op.corr] = op
 	x.mu.Unlock()
@@ -298,7 +274,7 @@ func (x *actorExec) newOp(v *view, t *metrics.Tally, from simnet.NodeID, kind op
 // model at send time.
 func (x *actorExec) post(op *actorOp, from, to simnet.NodeID, payload simnet.Message, arriveAt simnet.VTime) {
 	op.addPending(1)
-	env := asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Deadline: op.deadline, Payload: payload}
+	env := asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Payload: payload}
 	if err := x.rt.PostAt(from, to, env, arriveAt); err != nil {
 		op.fail(err)
 	}
@@ -314,7 +290,7 @@ func (x *actorExec) answer(op *actorOp, here simnet.NodeID, res []triples.Postin
 		return l
 	}
 	op.addPending(1)
-	if err := x.rt.Reply(here, asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from, Deadline: op.deadline},
+	if err := x.rt.Reply(here, asyncnet.Envelope{Corr: op.corr, ReplyTo: op.from},
 		opResult{postings: res, hops: hops + 1}, arrive); err != nil {
 		op.fail(err)
 		return legNone

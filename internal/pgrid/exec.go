@@ -18,9 +18,9 @@ const (
 	// implements by chaining them.
 	ExecChain ExecMode = iota
 	// ExecActor runs every operator step as a message handler on a
-	// discrete-event runtime: each peer is an actor with a bounded mailbox
-	// and a per-message service time, so queueing delay, backpressure and
-	// per-peer load become first-class observables. Routing, results and hop
+	// discrete-event runtime: each peer is an actor with a mailbox and a
+	// per-message service time, so queueing delay and per-peer load become
+	// first-class observables. Routing, results and hop
 	// counts are identical to ExecChain for the same seed.
 	ExecActor
 )

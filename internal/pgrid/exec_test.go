@@ -302,20 +302,3 @@ func TestLatencyAwareRefSelection(t *testing.T) {
 		t.Errorf("latency-aware routing slower in aggregate: %dµs vs %dµs", awareTotal, hashedTotal)
 	}
 }
-
-// TestActorDeadlineBoundsOperations: with an operation deadline configured,
-// a query over a slow grid completes with partial results and ErrTimeout
-// failures instead of hanging.
-func TestActorDeadlineBoundsOperations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Exec = ExecActor
-	cfg.Deadline = simnet.VTimeOf(30 * time.Millisecond) // ~1 link crossing
-	net := simnet.New(16)
-	net.SetLatency(asyncnet.Func(asyncnet.Fixed{D: simnet.VTimeOf(25 * time.Millisecond)}))
-	g := buildSeqGrid(t, net, 16, 200, cfg)
-	var tally metrics.Tally
-	_, err := g.RangeQuery(&tally, 0, keys.Interval{Lo: testKey(0), Hi: testKey(199)}, RangeOptions{})
-	if err == nil {
-		t.Fatal("deadline-bounded shower over a slow grid reported no timeout")
-	}
-}

@@ -52,10 +52,6 @@ type Config struct {
 	// Seed drives all randomized choices (construction shuffles and routing
 	// reference selection), making experiments reproducible.
 	Seed int64
-	// ReplyEmpty, if set, makes contacted peers send result messages even
-	// when they hold no matches. The default (false) matches cost models in
-	// which silence means "no results".
-	ReplyEmpty bool
 	// Exec selects the query execution engine: chained virtual-time calls
 	// (ExecChain, the default) or discrete-event actors with per-peer
 	// mailboxes and service times (ExecActor). Routing, results and hop
@@ -71,14 +67,6 @@ type Config struct {
 	// virtual second) on top of Service, so bulk transfers congest peers
 	// the way they congest links under a bandwidth-limited latency model.
 	ServiceRate int64
-	// Mailbox bounds each peer's actor mailbox (actor mode; 0 = effectively
-	// unbounded). Overflowing messages are dropped — backpressure — and
-	// fail the operation branch that sent them.
-	Mailbox int
-	// Deadline, when nonzero, bounds each actor-mode operation: protocol
-	// messages arriving after start+Deadline are dropped and the operation
-	// completes with partial results and ErrTimeout failures.
-	Deadline simnet.VTime
 	// LatencyAwareRefs makes pickRef prefer the live routing reference with
 	// the lowest expected link latency (deterministic salt tie-break)
 	// instead of the salt-rotated hashed choice. Requires a latency model

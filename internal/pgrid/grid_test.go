@@ -670,33 +670,6 @@ func TestLoadBalancedAcrossPeers(t *testing.T) {
 	}
 }
 
-func TestReplyEmptyMode(t *testing.T) {
-	// With ReplyEmpty, a miss still costs a result message; without, misses
-	// are silent. The cost difference is what the config knob is for.
-	mk := func(replyEmpty bool) int64 {
-		net := simnet.New(16)
-		sample := make([]keys.Key, 200)
-		for i := range sample {
-			sample[i] = testKey(i)
-		}
-		cfg := DefaultConfig()
-		cfg.ReplyEmpty = replyEmpty
-		g, err := Build(net, 16, sample, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tally metrics.Tally
-		if _, err := g.Lookup(&tally, 0, keys.StringKey("kmissing")); err != nil {
-			t.Fatal(err)
-		}
-		return tally.Messages
-	}
-	silent, chatty := mk(false), mk(true)
-	if chatty != silent+1 {
-		t.Errorf("ReplyEmpty lookup cost %d, want %d+1", chatty, silent)
-	}
-}
-
 func TestMultiLookupEmptyAndUnknownKeys(t *testing.T) {
 	g, _ := buildTestGrid(t, 20, 300, DefaultConfig())
 	res, err := g.MultiLookup(nil, 0, nil)

@@ -7,12 +7,12 @@ import (
 // Discrete-event protocol of the actor executor.
 //
 // These messages travel only on the asyncnet.Runtime, wrapped in
-// asyncnet.Envelope frames that carry the operation's correlation id, the
-// initiator to reply to, and an optional deadline. The network cost of every
-// step is accounted separately on the fabric with the same wire messages the
-// direct executor sends (lookupMsg, rangeMsg, resultMsg, ...), so message
-// and byte counts are identical across executors; the structures below carry
-// only the per-step state a handler needs to drive the next step.
+// asyncnet.Envelope frames that carry the operation's correlation id and the
+// initiator to reply to. The network cost of every step is accounted
+// separately on the fabric with the same wire messages the direct executor
+// sends (lookupMsg, rangeMsg, resultMsg, ...), so message and byte counts are
+// identical across executors; the structures below carry only the per-step
+// state a handler needs to drive the next step.
 
 // routeStepMsg is one iteration of Algorithm 1's routing loop (routeStep)
 // at the peer it was delivered to. budget is the iterations left, counted

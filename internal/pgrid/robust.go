@@ -8,11 +8,11 @@ package pgrid
 //   - Retransmission: a wire send that the fabric's fault plan drops
 //     (simnet.ErrLinkLoss) is repeated to the same target after an
 //     exponential virtual-time backoff, up to RetryConfig.MaxAttempts.
-//   - Replica failover: a target that is unreachable (crashed, departed,
-//     mailbox full) is replaced by a structural replica from the operation's
-//     epoch snapshot. Replicas share the owner's full trie path, so any of
-//     them is routing-equivalent at that hop — the redundancy the paper
-//     attributes P-Grid's fault tolerance to.
+//   - Replica failover: a target that is unreachable (crashed, departed) is
+//     replaced by a structural replica from the operation's epoch snapshot.
+//     Replicas share the owner's full trie path, so any of them is
+//     routing-equivalent at that hop — the redundancy the paper attributes
+//     P-Grid's fault tolerance to.
 //   - Degraded reads: a query branch that stays unanswered after retries and
 //     failovers are exhausted no longer fails the whole query; the query
 //     returns the results it could gather and the silence is tallied

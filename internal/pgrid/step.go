@@ -249,11 +249,11 @@ const (
 )
 
 // answer sends a contacted peer's result leg from `from` to the initiator
-// `to` at now when one is owed: postings were found, or Config.ReplyEmpty is
-// set and the peer served part of the query. It returns the leg's fate and
-// arrival. A lost leg is a read failure.
+// `to` at now when one is owed: postings were found (silence means "no
+// results"). It returns the leg's fate and arrival. A lost leg is a read
+// failure.
 func (g *Grid) answer(t *metrics.Tally, from, to simnet.NodeID, res []triples.Posting, served bool, now simnet.VTime) (leg, simnet.VTime, error) {
-	if len(res) == 0 && !(served && g.cfg.ReplyEmpty) {
+	if len(res) == 0 {
 		if served {
 			return legSilent, now, nil
 		}
