@@ -55,7 +55,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/keyscheme"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/pgrid"
@@ -71,7 +70,6 @@ import (
 type rawOptions struct {
 	peers       string
 	method      string
-	scheme      string
 	exec        string
 	clients     int
 	churnRate   float64
@@ -92,7 +90,6 @@ type rawOptions struct {
 type options struct {
 	peers    []int
 	method   ops.Method
-	scheme   keyscheme.Kind
 	mode     core.RuntimeMode
 	cache    bool
 	openLoop bool
@@ -106,12 +103,6 @@ func (r rawOptions) resolve() (options, error) {
 	}
 	if o.method, err = parseMethod(r.method); err != nil {
 		return o, err
-	}
-	if o.scheme, err = keyscheme.ParseKind(r.scheme); err != nil {
-		return o, err
-	}
-	if o.scheme != keyscheme.KindQGram && o.method == ops.MethodQSamples {
-		return o, fmt.Errorf("-method qsamples needs -scheme qgram: sampling subsets positional grams, and the %s signature already has fixed probe cost", o.scheme)
 	}
 	if r.churnMode != "crash" && r.churnMode != "membership" {
 		return o, fmt.Errorf("unknown churn mode %q (want crash or membership)", r.churnMode)
@@ -213,8 +204,6 @@ func main() {
 			"what a churn event does: crash (toggle failure flags) or membership (real Join/Leave)")
 		mixes  = flag.Int("mix", 8, "query-mix initiations per size (0 = skip the workload)")
 		method = flag.String("method", "qgrams", "similarity method: qgrams, qsamples, strings")
-		scheme = flag.String("scheme", "qgram",
-			"key scheme the similarity index is built on: qgram (exact positional grams) or lsh (MinHash band buckets, probabilistic recall at fixed probe cost)")
 
 		traceOut = flag.String("trace-out", "",
 			"write the message-lifecycle trace as JSONL to this file (byte-identical for a fixed seed in actor mode; a sweep leaves the last size's trace)")
@@ -246,7 +235,6 @@ func main() {
 	opt, err := rawOptions{
 		peers:       *peersFlag,
 		method:      *method,
-		scheme:      *scheme,
 		exec:        *exec,
 		clients:     *clients,
 		churnRate:   *churn,
@@ -292,8 +280,8 @@ func main() {
 		cacheState = "on"
 	}
 	if opt.openLoop {
-		fmt.Printf("workload: runtime=%s method=%s scheme=%s cache=%s arrival=poisson rate=%g/s zipf=%g (%d arrivals)\n\n",
-			mode, m, opt.scheme, cacheState, *rate, *zipf, *arrivals)
+		fmt.Printf("workload: runtime=%s method=%s cache=%s arrival=poisson rate=%g/s zipf=%g (%d arrivals)\n\n",
+			mode, m, cacheState, *rate, *zipf, *arrivals)
 	} else if *mixes > 0 {
 		lat := "none"
 		if latency != nil {
@@ -302,8 +290,8 @@ func main() {
 		if bwRate > 0 {
 			lat += "+bw:" + asyncnet.FormatRate(bwRate)
 		}
-		fmt.Printf("workload: runtime=%s method=%s scheme=%s cache=%s latency=%s churn=%.2f/s mode=%s clients=%d (%d mix initiations)\n\n",
-			mode, m, opt.scheme, cacheState, lat, *churn, *churnMode, *clients, *mixes)
+		fmt.Printf("workload: runtime=%s method=%s cache=%s latency=%s churn=%.2f/s mode=%s clients=%d (%d mix initiations)\n\n",
+			mode, m, cacheState, lat, *churn, *churnMode, *clients, *mixes)
 	}
 	fmt.Printf("%-10s %-11s %-18s %-12s %-10s %-10s %-10s %-12s\n",
 		"peers", "partitions", "depth(min/avg/max)", "refs/peer", "postings", "max/part", "load", "postings/s")
@@ -323,19 +311,18 @@ func main() {
 			gcRestore = debug.SetGCPercent(50)
 		}
 		eng, err := core.Open(tuples, core.Config{
-			Peers:            n,
-			Scheme:           opt.scheme,
-			Runtime:          mode,
-			LoadWorkers:      *loadWorkers,
-			LoadBudget:       *loadBudget,
-			Latency:          latency,
-			Service:          *service,
-			LatencyAwareRefs: *latAware,
-			Trace:            tracer,
-			MetricsAddr:      *metricsAddr,
-			Cache:            opt.cache,
-			Bandwidth:        bwRate,
-			Drop:             *drop,
+			Peers:       n,
+			Grid:        pgrid.Config{LatencyAwareRefs: *latAware},
+			Runtime:     mode,
+			LoadWorkers: *loadWorkers,
+			LoadBudget:  *loadBudget,
+			Latency:     latency,
+			Service:     *service,
+			Trace:       tracer,
+			MetricsAddr: *metricsAddr,
+			Cache:       opt.cache,
+			Bandwidth:   bwRate,
+			Drop:        *drop,
 		})
 		if gcRestore >= 0 {
 			debug.SetGCPercent(gcRestore)

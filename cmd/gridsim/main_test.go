@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/keyscheme"
 	"repro/internal/ops"
 )
 
@@ -15,7 +14,6 @@ func valid() rawOptions {
 	return rawOptions{
 		peers:     "64",
 		method:    "qgrams",
-		scheme:    "qgram",
 		churnMode: "crash",
 		clients:   1,
 	}
@@ -32,53 +30,15 @@ func TestResolveOptions(t *testing.T) {
 			name:   "defaults",
 			mutate: func(r *rawOptions) {},
 			check: func(t *testing.T, o options) {
-				if o.scheme != keyscheme.KindQGram || o.method != ops.MethodQGrams || o.mode != core.RuntimeDirect {
-					t.Errorf("resolved %+v, want qgram/qgrams/direct", o)
+				if o.method != ops.MethodQGrams || o.mode != core.RuntimeDirect {
+					t.Errorf("resolved %+v, want qgrams/direct", o)
 				}
 			},
-		},
-		{
-			name:   "lsh scheme",
-			mutate: func(r *rawOptions) { r.scheme = "lsh" },
-			check: func(t *testing.T, o options) {
-				if o.scheme != keyscheme.KindLSH {
-					t.Errorf("scheme = %v, want lsh", o.scheme)
-				}
-			},
-		},
-		{
-			name:   "empty scheme defaults to qgram",
-			mutate: func(r *rawOptions) { r.scheme = "" },
-			check: func(t *testing.T, o options) {
-				if o.scheme != keyscheme.KindQGram {
-					t.Errorf("scheme = %v, want qgram", o.scheme)
-				}
-			},
-		},
-		{
-			name:    "unknown scheme lists accepted values",
-			mutate:  func(r *rawOptions) { r.scheme = "simhash" },
-			wantErr: `unknown key scheme "simhash" (want qgram or lsh)`,
 		},
 		{
 			name:    "unknown method lists accepted values",
 			mutate:  func(r *rawOptions) { r.method = "trigrams" },
 			wantErr: `unknown method "trigrams" (want qgrams, qsamples or strings)`,
-		},
-		{
-			name: "lsh conflicts with qsamples",
-			mutate: func(r *rawOptions) {
-				r.scheme = "lsh"
-				r.method = "qsamples"
-			},
-			wantErr: "-method qsamples needs -scheme qgram",
-		},
-		{
-			name: "lsh allows naive method",
-			mutate: func(r *rawOptions) {
-				r.scheme = "lsh"
-				r.method = "strings"
-			},
 		},
 		{
 			name:    "unknown churn mode",

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/keyscheme"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/plan"
@@ -50,7 +49,6 @@ func main() {
 		n      = flag.Int("n", 500, "dataset size")
 		seed   = flag.Int64("seed", 1, "random seed")
 		method = flag.String("method", "qgrams", "similarity method: qgrams, qsamples or strings")
-		scheme = flag.String("scheme", "qgram", "key scheme the similarity index is built on: qgram or lsh")
 	)
 	flag.Parse()
 
@@ -64,12 +62,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Plan.Similar.Method = m
-	if cfg.Scheme, err = keyscheme.ParseKind(*scheme); err != nil {
-		fatal(err)
-	}
-	if cfg.Scheme != keyscheme.KindQGram && m == ops.MethodQSamples {
-		fatal(fmt.Errorf("-method qsamples needs -scheme qgram: sampling subsets positional grams, and the %s signature already has fixed probe cost", cfg.Scheme))
-	}
 	eng, err := core.Open(tuples, cfg)
 	if err != nil {
 		fatal(err)

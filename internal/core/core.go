@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/asyncnet"
-	"repro/internal/keyscheme"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/pgrid"
@@ -78,13 +77,8 @@ type Config struct {
 	// Grid configures overlay construction (replication, routing
 	// redundancy, seed).
 	Grid pgrid.Config
-	// Store configures the storage scheme (gram size, short-string limit,
-	// similarity key scheme).
+	// Store configures the storage scheme (gram size, short-string limit).
 	Store ops.StoreConfig
-	// Scheme selects the similarity key scheme (keyscheme.KindQGram, the
-	// default, or keyscheme.KindLSH). It is a raise-only shorthand for
-	// Store.Scheme; band/row tunables live in Store.Bands/Store.Rows.
-	Scheme keyscheme.Kind
 	// Plan configures query planning, notably the similarity method
 	// (q-grams, q-samples, or the naive scan).
 	Plan plan.Options
@@ -106,9 +100,6 @@ type Config struct {
 	// time proportional to their bytes. 0 keeps messages size-free, the
 	// paper's cost model.
 	Bandwidth int64
-	// LatencyAwareRefs routes via the live reference with the lowest
-	// expected link latency instead of the hashed choice (needs Latency).
-	LatencyAwareRefs bool
 	// LoadWorkers bounds the bulk-load pipeline's concurrency: entry
 	// extraction and per-partition batch appliers. 0 uses GOMAXPROCS; 1 runs
 	// the pipeline serially. The loaded state is byte-identical for every
@@ -162,16 +153,13 @@ func (c *Config) normalize() {
 	if c.Peers <= 0 {
 		c.Peers = 64
 	}
-	if c.Store.Scheme == keyscheme.KindQGram {
-		// Raise-only: a caller configuring ops.StoreConfig directly keeps
-		// their setting.
-		c.Store.Scheme = c.Scheme
-	}
 	if c.Grid.RefsPerLevel == 0 && c.Grid.Replication == 0 && c.Grid.MaxDepth == 0 {
-		seed := c.Grid.Seed
-		c.Grid = pgrid.DefaultConfig()
-		if seed != 0 {
-			c.Grid.Seed = seed
+		// Fill only the structural fields; every other Grid setting the
+		// caller made (routing, retry, exec) survives.
+		def := pgrid.DefaultConfig()
+		c.Grid.Replication, c.Grid.RefsPerLevel, c.Grid.MaxDepth = def.Replication, def.RefsPerLevel, def.MaxDepth
+		if c.Grid.Seed == 0 {
+			c.Grid.Seed = def.Seed
 		}
 	}
 	if c.Runtime == RuntimeActor {
@@ -181,11 +169,6 @@ func (c *Config) normalize() {
 	if c.Bandwidth > 0 {
 		c.Latency = asyncnet.Bandwidth{Base: c.Latency, BytesPerSec: c.Bandwidth}
 		c.Grid.ServiceRate = c.Bandwidth
-	}
-	if c.LatencyAwareRefs {
-		// Raise-only: a caller configuring pgrid.Config directly keeps their
-		// setting.
-		c.Grid.LatencyAwareRefs = true
 	}
 	if c.PostingCacheBytes != 0 || c.ResultCacheBytes != 0 {
 		c.Cache = true

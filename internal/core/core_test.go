@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ops"
+	"repro/internal/pgrid"
 	"repro/internal/simnet"
 	"repro/internal/triples"
 )
@@ -159,6 +160,28 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if eng.Config().Peers != 64 {
 		t.Errorf("default peers = %d", eng.Config().Peers)
+	}
+}
+
+// TestPartialGridConfigSurvives: a Grid config that leaves the structural
+// fields zero gets only those (and the seed) from pgrid.DefaultConfig; the
+// routing and retry settings the caller made reach the built grid.
+func TestPartialGridConfigSurvives(t *testing.T) {
+	grid := pgrid.Config{LatencyAwareRefs: true, Retry: pgrid.RetryConfig{Enabled: true, MaxAttempts: 7}}
+	eng, err := Open(demoData(), Config{Peers: 16, Grid: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, def := eng.Grid().Config(), pgrid.DefaultConfig()
+	if !got.LatencyAwareRefs {
+		t.Error("LatencyAwareRefs reset by normalize")
+	}
+	if got.Retry != grid.Retry {
+		t.Errorf("Retry = %+v, want %+v", got.Retry, grid.Retry)
+	}
+	if got.Replication != def.Replication || got.RefsPerLevel != def.RefsPerLevel ||
+		got.MaxDepth != def.MaxDepth || got.Seed != def.Seed {
+		t.Errorf("structural fields = %+v, want DefaultConfig's", got)
 	}
 }
 

@@ -1,95 +1,18 @@
-// Package keyscheme makes the similarity key discipline of the storage
-// scheme pluggable. The paper's layers silently agree on one discipline —
-// padded positional q-grams keyed into the trie (Section 4) — and this
-// package turns that cross-cutting assumption into an explicit seam: a
-// Scheme decides which similarity index entries a string value (or an
-// attribute name, at schema level) publishes into the overlay, which key
-// probes a needle issues at query time, and which postings those probes may
-// keep as candidates. Everything outside the seam — the three base postings
-// per triple, the short-value index, the catalog, routing, partitioning and
-// the final edit-distance verification — is scheme-independent.
-//
-// Two schemes ship: QGram (the paper's positional q-grams, exact at the
-// guarantee threshold) and LSH (MinHash band buckets over the same padded
-// q-gram shingles, probabilistic recall at constant probe cost). Both map
-// onto the same trie key space; see KeySpace for the per-scheme layout.
+// Package keyscheme is the similarity key discipline of the storage scheme:
+// padded positional q-grams keyed into the trie (Section 4). A Scheme
+// decides which similarity index entries a string value (or an attribute
+// name, at schema level) publishes into the overlay, which key probes a
+// needle issues at query time (every gram, or the q-sample), and which
+// postings those probes may keep as candidates. Everything else — the three
+// base postings per triple, the short-value index, the catalog, routing,
+// partitioning and the final edit-distance verification — lives outside
+// this package.
 package keyscheme
 
 import (
-	"fmt"
-
 	"repro/internal/keys"
 	"repro/internal/strdist"
 	"repro/internal/triples"
-)
-
-// Kind enumerates the built-in schemes.
-type Kind int
-
-const (
-	// KindQGram is the paper's positional q-gram discipline (default).
-	KindQGram Kind = iota
-	// KindLSH keys MinHash band buckets over the padded q-gram shingle set.
-	KindLSH
-)
-
-// String names the scheme as accepted by ParseKind.
-func (k Kind) String() string {
-	switch k {
-	case KindQGram:
-		return "qgram"
-	case KindLSH:
-		return "lsh"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(k))
-	}
-}
-
-// ParseKind parses a scheme name. The error lists the accepted values.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "qgram", "qgrams":
-		return KindQGram, nil
-	case "lsh":
-		return KindLSH, nil
-	default:
-		return 0, fmt.Errorf("keyscheme: unknown key scheme %q (want qgram or lsh)", s)
-	}
-}
-
-// Params fixes a scheme's tunables. The zero value selects the defaults.
-// Params is comparable so configurations embedding it stay comparable.
-type Params struct {
-	// Q is the gram/shingle size (default 3). Both schemes shingle on
-	// padded q-grams, so Q is shared.
-	Q int
-	// Bands and Rows shape the LSH signature: Bands band buckets, each
-	// folding Rows MinHash rows (defaults 16 and 1). A needle matches a
-	// value with shingle Jaccard j on some band with probability
-	// 1-(1-j^Rows)^Bands. Ignored by the q-gram scheme.
-	Bands int
-	Rows  int
-}
-
-func (p *Params) normalize() {
-	if p.Q <= 0 {
-		p.Q = 3
-	}
-	if p.Bands <= 0 {
-		p.Bands = DefaultBands
-	}
-	if p.Rows <= 0 {
-		p.Rows = DefaultRows
-	}
-}
-
-// Default LSH signature shape. One row per band keeps per-band collision
-// probability equal to the shingle Jaccard itself, which short needles at
-// d=2 need for usable recall; 16 bands push worst-case recall past 0.9 on
-// word-length corpora (see the recall harness).
-const (
-	DefaultBands = 16
-	DefaultRows  = 1
 )
 
 // Entry is one similarity index entry of a value or attribute name: the
@@ -101,9 +24,8 @@ type Entry struct {
 	// Kind is the index family of the posting.
 	Kind triples.IndexKind
 	// GramText, GramPos and SrcLen become the posting's payload: the gram
-	// text and position for q-grams (text empty and position = band index
-	// for LSH buckets), and the source string length both schemes' length
-	// filter needs.
+	// text and position, and the source string length the length filter
+	// needs.
 	GramText string
 	GramPos  int
 	SrcLen   int
@@ -112,8 +34,8 @@ type Entry struct {
 // ProbeSet is the query-side plan of a scheme for one needle: the keys to
 // retrieve (ascending, so message traces stay reproducible), the index
 // family the results must belong to, and the per-posting candidate
-// predicate (Algorithm 2 line 8 for q-grams; a pure length filter for LSH).
-// Callers always enforce Kind but may skip Accept (the filter ablation).
+// predicate (Algorithm 2 line 8). Callers always enforce Kind but may skip
+// Accept (the filter ablation).
 type ProbeSet struct {
 	Keys   []keys.Key
 	Kind   triples.IndexKind
@@ -126,81 +48,6 @@ type ProbeSet struct {
 	// attributed (it belongs to no probe key, e.g. an index family sharing
 	// the key space); callers must then skip caching the whole batch.
 	KeyOf func(p triples.Posting) (k keys.Key, ok bool)
-}
-
-// KeySpace describes how a scheme's entries occupy the trie key space.
-type KeySpace struct {
-	// ValueKind and SchemaKind are the index families of instance- and
-	// schema-level entries.
-	ValueKind  triples.IndexKind
-	SchemaKind triples.IndexKind
-	// PrefixDepth is the packed bit length of the shortest similarity key
-	// the scheme can emit — the depth below which trie partitions cannot
-	// split the scheme's key family apart.
-	PrefixDepth int
-	// FixedSuffixBits is the fixed-width tail every similarity key ends
-	// with (band byte + bucket word for LSH); 0 means variable-length
-	// text-derived keys.
-	FixedSuffixBits int
-	// Exact reports whether probing is lossless for needles at or above
-	// ShortThreshold (q-grams) rather than probabilistic (LSH).
-	Exact bool
-}
-
-// Scheme is the pluggable similarity key discipline. Implementations are
-// stateless and safe for concurrent use; all mutable buffers live in the
-// per-worker Scratch.
-type Scheme interface {
-	// Kind identifies the scheme.
-	Kind() Kind
-	// Params returns the normalized parameters.
-	Params() Params
-	// ValueEntries appends the similarity entries of a string value of
-	// attr (instance level, one slim posting each).
-	ValueEntries(dst []Entry, attr, v string, sc *Scratch) []Entry
-	// AttrEntries returns the schema-level entries of an attribute name.
-	// Attribute names repeat on virtually every triple, so results are
-	// cached in the scratch; callers must not modify the returned slice.
-	AttrEntries(attr string, sc *Scratch) []Entry
-	// ValueEntryBound and AttrEntryBound upper-bound the respective entry
-	// counts for a source string of the given byte length; extraction
-	// uses them to size buffers exactly.
-	ValueEntryBound(srcLen int) int
-	AttrEntryBound(srcLen int) int
-	// ShortThreshold is the needle length below which the scheme's probes
-	// cannot guarantee completeness at distance d; the store indexes
-	// values below it in the short-value side index.
-	ShortThreshold(d int) int
-	// Probes plans the candidate retrieval for needle at distance d.
-	// attr == "" selects the schema level. sampled requests the sparser
-	// q-sample probe set (MethodQSamples); schemes without a sampled
-	// variant ignore it.
-	Probes(attr, needle string, d int, sampled bool) ProbeSet
-	// KeySpace describes the scheme's key layout.
-	KeySpace() KeySpace
-}
-
-// New constructs the scheme of the given kind with normalized parameters.
-func New(kind Kind, p Params) (Scheme, error) {
-	p.normalize()
-	switch kind {
-	case KindQGram:
-		return &qgramScheme{q: p.Q}, nil
-	case KindLSH:
-		return newLSHScheme(p), nil
-	default:
-		return nil, fmt.Errorf("keyscheme: unknown key scheme kind %d (want %s or %s)", int(kind), KindQGram, KindLSH)
-	}
-}
-
-// MustNew is New for callers that already validated the kind; it panics on
-// an unknown kind.
-func MustNew(kind Kind, p Params) Scheme {
-	s, err := New(kind, p)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -223,14 +70,12 @@ const (
 )
 
 // Scratch holds the reusable buffers of one extraction or probe worker: a
-// gram buffer (every value has different grams), a shingle-hash and row
-// buffer for LSH signatures, and a byte-bounded cache of per-attribute
-// schema entries (attribute names repeat on virtually every triple).
+// gram buffer (every value has different grams) and a byte-bounded cache of
+// per-attribute schema entries (attribute names repeat on virtually every
+// triple).
 // A Scratch is not safe for concurrent use; pool one per worker.
 type Scratch struct {
-	grams    []strdist.Gram
-	shingles []uint64
-	buckets  []uint64
+	grams []strdist.Gram
 
 	attrEntries map[string][]Entry
 	attrBytes   int

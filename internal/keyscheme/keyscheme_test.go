@@ -8,57 +8,16 @@ import (
 	"repro/internal/triples"
 )
 
-func TestParseKind(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    Kind
-		wantErr bool
-	}{
-		{"", KindQGram, false},
-		{"qgram", KindQGram, false},
-		{"qgrams", KindQGram, false},
-		{"lsh", KindLSH, false},
-		{"minhash", 0, true},
-		{"QGRAM", 0, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseKind(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseKind(%q) = %v, want error", tc.in, got)
-			} else if !strings.Contains(err.Error(), "want qgram or lsh") {
-				t.Errorf("ParseKind(%q) error %q does not list accepted values", tc.in, err)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, k := range []Kind{KindQGram, KindLSH} {
-		back, err := ParseKind(k.String())
-		if err != nil || back != k {
-			t.Errorf("ParseKind(%v.String()) = %v, %v; want round trip", k, back, err)
-		}
-	}
-}
-
-func TestNewUnknownKind(t *testing.T) {
-	if _, err := New(Kind(99), Params{}); err == nil {
-		t.Fatal("New(99) succeeded, want error")
-	}
-}
-
 // TestQGramEntriesMatchStrdist pins the q-gram scheme to the strdist
 // primitives it wraps: ValueEntries must emit exactly the padded positional
 // grams of the value, keyed per gram, and AttrEntries the schema grams of
 // the attribute name.
 func TestQGramEntriesMatchStrdist(t *testing.T) {
-	s := MustNew(KindQGram, Params{})
+	s := New(0)
 	sc := NewScratch()
 	const attr, val = "name", "similar"
 	es := s.ValueEntries(nil, attr, val, sc)
-	grams := strdist.PaddedGrams(val, s.Params().Q)
+	grams := strdist.PaddedGrams(val, s.Q())
 	if len(es) != len(grams) {
 		t.Fatalf("ValueEntries emitted %d entries, want %d grams", len(es), len(grams))
 	}
@@ -77,7 +36,7 @@ func TestQGramEntriesMatchStrdist(t *testing.T) {
 		}
 	}
 	as := s.AttrEntries(attr, sc)
-	if want := len(strdist.PaddedGrams(attr, s.Params().Q)); len(as) != want {
+	if want := len(strdist.PaddedGrams(attr, s.Q())); len(as) != want {
 		t.Fatalf("AttrEntries emitted %d entries, want %d", len(as), want)
 	}
 	for i, e := range as {
@@ -85,104 +44,8 @@ func TestQGramEntriesMatchStrdist(t *testing.T) {
 			t.Errorf("attr entry %d kind = %v, want schemagram", i, e.Kind)
 		}
 	}
-	if got := s.ShortThreshold(2); got != strdist.GuaranteeThreshold(s.Params().Q, 2) {
+	if got := s.ShortThreshold(2); got != strdist.GuaranteeThreshold(s.Q(), 2) {
 		t.Errorf("ShortThreshold(2) = %d, want the guarantee threshold", got)
-	}
-}
-
-// TestLSHSchemeDeterminism pins the LSH signature to its fixed seed stream:
-// two independently constructed schemes with fresh scratches must emit
-// identical bucket keys for the same input, and each value exactly Bands
-// entries with distinct band positions.
-func TestLSHSchemeDeterminism(t *testing.T) {
-	a := MustNew(KindLSH, Params{})
-	b := MustNew(KindLSH, Params{})
-	p := a.Params()
-	if p.Bands != DefaultBands || p.Rows != DefaultRows || p.Q != 3 {
-		t.Fatalf("normalized params = %+v, want defaults", p)
-	}
-	for _, val := range []string{"similar", "queries", "x"} {
-		ea := a.ValueEntries(nil, "word", val, NewScratch())
-		eb := b.ValueEntries(nil, "word", val, NewScratch())
-		if len(ea) != p.Bands || len(eb) != p.Bands {
-			t.Fatalf("%q: %d/%d entries, want Bands=%d", val, len(ea), len(eb), p.Bands)
-		}
-		for i := range ea {
-			if !ea[i].Key.Equal(eb[i].Key) {
-				t.Errorf("%q band %d: keys diverge between scheme instances", val, i)
-			}
-			if ea[i].GramPos != i || ea[i].Kind != triples.IndexBucket || ea[i].SrcLen != len(val) {
-				t.Errorf("%q entry %d = %+v, want band=pos bucket kind", val, i, ea[i])
-			}
-		}
-	}
-}
-
-// TestLSHProbesMatchEntries: a needle equal to an indexed value must probe
-// exactly the keys that value published — self-retrieval is what makes
-// banding recall meaningful.
-func TestLSHProbesMatchEntries(t *testing.T) {
-	s := MustNew(KindLSH, Params{})
-	const attr, val = "word", "similar"
-	es := s.ValueEntries(nil, attr, val, NewScratch())
-	probes := s.Probes(attr, val, 1, false)
-	if probes.Kind != triples.IndexBucket {
-		t.Fatalf("probe kind = %v, want bucket", probes.Kind)
-	}
-	if len(probes.Keys) != len(es) {
-		t.Fatalf("%d probe keys, %d entries", len(probes.Keys), len(es))
-	}
-	have := make(map[string]bool, len(es))
-	for _, e := range es {
-		have[string(e.Key.Bytes())] = true
-	}
-	for i, k := range probes.Keys {
-		if !have[string(k.Bytes())] {
-			t.Errorf("probe key %d not among the value's entries", i)
-		}
-		if i > 0 && !probes.Keys[i-1].Less(k) {
-			t.Errorf("probe keys not strictly ascending at %d", i)
-		}
-	}
-	// The accept predicate is the pure length filter.
-	if probes.Accept(triples.Posting{SrcLen: len(val) + 1}) != true {
-		t.Error("accept rejected a length-compatible posting")
-	}
-	if probes.Accept(triples.Posting{SrcLen: len(val) + 5}) {
-		t.Error("accept kept a posting the length filter must drop at d=1")
-	}
-	// Schema-level probes target the schema bucket family.
-	if sp := s.Probes("", val, 1, false); sp.Kind != triples.IndexSchemaBucket {
-		t.Errorf("schema probe kind = %v, want schemabucket", sp.Kind)
-	}
-}
-
-// TestBucketKeyPrefixFreedom: within one attribute the bucket suffix is
-// fixed-width, and across attributes a '#' can never collide with a bucket
-// byte position — no emitted bucket key may be a strict prefix of another.
-func TestBucketKeyPrefixFreedom(t *testing.T) {
-	s := MustNew(KindLSH, Params{})
-	sc := NewScratch()
-	var all [][]byte
-	for _, attr := range []string{"a", "ab", "a#b", "word"} {
-		for _, val := range []string{"x", "similar", "zebra"} {
-			for _, e := range s.ValueEntries(nil, attr, val, sc) {
-				all = append(all, e.Key.Bytes())
-			}
-		}
-		for _, e := range s.AttrEntries(attr, sc) {
-			all = append(all, e.Key.Bytes())
-		}
-	}
-	for i := range all {
-		for j := range all {
-			if i == j {
-				continue
-			}
-			if len(all[i]) < len(all[j]) && string(all[j][:len(all[i])]) == string(all[i]) {
-				t.Fatalf("bucket key %x is a strict prefix of %x", all[i], all[j])
-			}
-		}
 	}
 }
 
@@ -191,7 +54,7 @@ func TestBucketKeyPrefixFreedom(t *testing.T) {
 // few pathologically huge attribute names must stop being cached while
 // ordinary attributes keep caching and hitting.
 func TestScratchCacheByteBound(t *testing.T) {
-	s := MustNew(KindQGram, Params{})
+	s := New(0)
 	sc := NewScratchWithCacheLimit(16 << 10)
 
 	// Ordinary attributes cache and hit: the second call returns the same

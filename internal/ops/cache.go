@@ -13,7 +13,7 @@ import (
 
 // Initiator-side hot caching. Two caches ride the query path:
 //
-//   - the posting cache maps a probe key (a gram, bucket or oid storage key)
+//   - the posting cache maps a probe key (a gram or oid storage key)
 //     to the exact posting list the overlay would return for it, so fetch
 //     serves hot keys locally and multicasts only the misses;
 //   - the result cache maps a whole similarity question (needle, attr,

@@ -7,7 +7,7 @@ package ops
 // splits the triple stream into contiguous windows whose modeled entry
 // footprint fits a byte budget (a budget <= 0 is one window) and extracts
 // each window across a worker pool. Entry extraction, above all the key
-// scheme's gram or signature expansion, is the CPU hot spot of the load, so
+// scheme's gram expansion, is the CPU hot spot of the load, so
 // workers take contiguous triple chunks and each reuses one extractScratch
 // (scheme buffers plus the bounded attribute-entry cache). The extracted
 // keys, catalog postings excluded, are the balancing sample grid
@@ -82,10 +82,7 @@ type LoadPlan struct {
 // worker count.
 func PlanLoadStream(data []triples.Tuple, cfg StoreConfig, workers int, budget int64) (*LoadPlan, error) {
 	cfg.normalize()
-	sch, err := keyscheme.New(cfg.Scheme, cfg.schemeParams())
-	if err != nil {
-		return nil, fmt.Errorf("ops: planning load: %w", err)
-	}
+	sch := keyscheme.New(cfg.Q)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

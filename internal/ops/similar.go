@@ -184,10 +184,10 @@ func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, 
 }
 
 // probeCandidates performs lines 1-9 of Algorithm 2 through the key scheme:
-// plan the needle's probe keys (every q-gram, a q-sample, or the LSH band
-// buckets), retrieve all postings matching any of them with one batched
-// multicast, and keep the oids the scheme's candidate predicate accepts
-// (position and length filters for q-grams, length only for buckets).
+// plan the needle's probe keys (every q-gram or a q-sample), retrieve all
+// postings matching any of them with one batched multicast, and keep the
+// oids the scheme's candidate predicate accepts (position and length
+// filters).
 func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
 	opts SimilarOptions, reads *readSet, start simnet.VTime) (map[string]bool, simnet.VTime, error) {
 	probes := s.scheme.Probes(attr, needle, d, opts.Method == MethodQSamples)

@@ -6,11 +6,9 @@
 //
 // A Store wraps a constructed grid with the vertical storage scheme of
 // Sections 3 and 4: every triple (oid, A, v) is indexed by oid, by A#v and by
-// v, plus the similarity entries its key scheme derives from v (instance
-// level) and from A (schema level) — one posting per positional q-gram under
-// the paper's scheme, one per MinHash band bucket under LSH (see
-// internal/keyscheme; StoreConfig.Scheme selects). Two small side indexes —
-// short values and the attribute catalog — close the completeness gap of
+// v, plus one posting per positional q-gram of v (instance level) and of A
+// (schema level; see internal/keyscheme). Two small side indexes — short
+// values and the attribute catalog — close the completeness gap of
 // similarity probing for strings below the scheme's short threshold (see
 // strdist.GuaranteeThreshold); they are a documented extension of this
 // reproduction.
@@ -61,27 +59,19 @@ func (m Method) String() string {
 // StoreConfig fixes the storage-scheme parameters. It stays comparable
 // (ApplyLoadPlan guards plan/store agreement by struct equality).
 type StoreConfig struct {
-	// Q is the gram/shingle size (default 3).
+	// Q is the gram size (default 3).
 	Q int
 	// MaxDistance is the largest similarity distance the store is tuned
 	// for; it sizes the short-value index (default 5, the maximum distance
 	// of the paper's evaluation queries).
 	MaxDistance int
 	// ShortLimit overrides the short-value index limit; 0 derives it from
-	// the scheme's short threshold at MaxDistance (both built-in schemes
-	// use strdist.GuaranteeThreshold).
+	// the scheme's short threshold at MaxDistance
+	// (strdist.GuaranteeThreshold).
 	ShortLimit int
 	// DisableShortIndex turns the completeness extension off entirely,
 	// reproducing the paper's storage scheme verbatim.
 	DisableShortIndex bool
-	// Scheme selects the similarity key scheme (default keyscheme.KindQGram,
-	// the paper's positional q-grams; keyscheme.KindLSH keys MinHash band
-	// buckets onto the same trie).
-	Scheme keyscheme.Kind
-	// Bands and Rows shape the LSH signature (defaults
-	// keyscheme.DefaultBands/DefaultRows); ignored by the q-gram scheme.
-	Bands int
-	Rows  int
 }
 
 func (c *StoreConfig) normalize() {
@@ -91,22 +81,9 @@ func (c *StoreConfig) normalize() {
 	if c.MaxDistance <= 0 {
 		c.MaxDistance = 5
 	}
-	if c.Scheme == keyscheme.KindLSH {
-		if c.Bands <= 0 {
-			c.Bands = keyscheme.DefaultBands
-		}
-		if c.Rows <= 0 {
-			c.Rows = keyscheme.DefaultRows
-		}
-	}
 	if c.ShortLimit <= 0 {
 		c.ShortLimit = strdist.GuaranteeThreshold(c.Q, c.MaxDistance)
 	}
-}
-
-// schemeParams maps the config to the scheme tunables.
-func (c *StoreConfig) schemeParams() keyscheme.Params {
-	return keyscheme.Params{Q: c.Q, Bands: c.Bands, Rows: c.Rows}
 }
 
 // Store is the vertical triple store over a P-Grid overlay.
@@ -136,14 +113,13 @@ type Store struct {
 
 // NewStore wraps a constructed grid. The grid should have been built with
 // the SampleKeys of a LoadPlan over the data to be loaded, so partitions
-// balance. It panics on an unknown cfg.Scheme; PlanLoadStream (which
-// core.Open runs first) reports the same condition as an error.
+// balance.
 func NewStore(grid *pgrid.Grid, cfg StoreConfig) *Store {
 	cfg.normalize()
 	return &Store{
 		grid:      grid,
 		cfg:       cfg,
-		scheme:    keyscheme.MustNew(cfg.Scheme, cfg.schemeParams()),
+		scheme:    keyscheme.New(cfg.Q),
 		scratch:   sync.Pool{New: func() any { return newExtractScratch() }},
 		qscratch:  sync.Pool{New: func() any { return new(queryScratch) }},
 		attrsSeen: make(map[string]bool),
@@ -161,7 +137,7 @@ func (s *Store) Grid() *pgrid.Grid { return s.grid }
 func (s *Store) Config() StoreConfig { return s.cfg }
 
 // extractScratch holds the reusable buffers of one entry-extraction worker:
-// the scheme's scratch (gram/shingle buffers, byte-bounded attribute-entry
+// the scheme's scratch (gram buffer, byte-bounded attribute-entry
 // cache — attribute names repeat on virtually every triple, so their
 // expansion is computed once per distinct name) plus a buffer for the
 // scheme's per-value entries.

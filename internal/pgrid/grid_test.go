@@ -359,7 +359,7 @@ func TestMultiLookupDeliversOncePerPartition(t *testing.T) {
 
 func TestPrefixQuery(t *testing.T) {
 	g, _ := buildTestGrid(t, 30, 400, DefaultConfig())
-	// All 400 keys share prefix "k0000".. wait: k000000..k000399 share "k000".
+	// The keys k000000..k000399 all share the prefix "k000".
 	res, err := g.PrefixQuery(nil, 0, keys.StringKey("k000"), RangeOptions{})
 	if err != nil {
 		t.Fatal(err)

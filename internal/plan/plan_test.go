@@ -318,8 +318,15 @@ func TestNumericDistFilterBecomesRange(t *testing.T) {
 			t.Errorf("price %g outside numeric distance", r[0].Num)
 		}
 	}
-	if len(res.Rows) != 3 { // 19000, 20500 — wait: prices are 10000+1500i: 19000, 20500, 21500? compute: within [18500,21500]: 19000, 20500 -> 2
-		t.Logf("rows = %d (data-dependent)", len(res.Rows))
+	want := 0
+	for _, c := range f.cars {
+		p, _ := c.Get("price")
+		if p.Num >= 18500 && p.Num <= 21500 {
+			want++
+		}
+	}
+	if len(res.Rows) != want {
+		t.Errorf("rows = %d, want %d", len(res.Rows), want)
 	}
 }
 

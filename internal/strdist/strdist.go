@@ -289,54 +289,6 @@ func GuaranteeThreshold(q, d int) int {
 	return d*q - q + 2
 }
 
-// FNV-1a constants for shingle hashing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// AppendShingleHashes appends one 64-bit FNV-1a hash per padded q-gram of s
-// (positions ignored) to dst and returns the extended slice. This is the
-// set-of-shingles view LSH signatures are built on: the same padded grams
-// the q-gram index stores, but hashed without materializing gram structs or
-// the padded backing string, so MinHash passes over a value allocate
-// nothing beyond the reused buffer.
-func AppendShingleHashes(dst []uint64, s string, q int) []uint64 {
-	if q <= 0 {
-		panic("strdist: q must be positive")
-	}
-	// Virtually pad with q-1 PadStart bytes left and q-1 PadEnd right
-	// (for q == 1 there is no padding, matching PaddedGrams).
-	n := len(s) + q - 1 // gram count of the padded string
-	if q == 1 {
-		n = len(s)
-	}
-	if need := len(dst) + n; cap(dst) < need {
-		grown := make([]uint64, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
-	byteAt := func(i int) byte {
-		i -= q - 1
-		if i < 0 {
-			return PadStart
-		}
-		if i >= len(s) {
-			return PadEnd
-		}
-		return s[i]
-	}
-	for g := 0; g < n; g++ {
-		h := uint64(fnvOffset64)
-		for j := 0; j < q; j++ {
-			h ^= uint64(byteAt(g + j))
-			h *= fnvPrime64
-		}
-		dst = append(dst, h)
-	}
-	return dst
-}
-
 // SharedGramCount returns the size of the multiset intersection of the
 // padded q-grams of a and b (positions ignored), the quantity bounded by
 // CountBound.

@@ -31,13 +31,6 @@ const (
 	IndexShort
 	// IndexCatalog postings list each distinct attribute name once.
 	IndexCatalog
-	// IndexBucket postings implement instance-level similarity under the
-	// LSH key scheme: one posting per MinHash band, keyed by
-	// attr#band#bucket (see internal/keyscheme).
-	IndexBucket
-	// IndexSchemaBucket postings are the schema-level LSH counterpart,
-	// keyed by band#bucket of the attribute name.
-	IndexSchemaBucket
 )
 
 // String names the index kind for metrics and debugging.
@@ -57,10 +50,6 @@ func (k IndexKind) String() string {
 		return "short"
 	case IndexCatalog:
 		return "catalog"
-	case IndexBucket:
-		return "bucket"
-	case IndexSchemaBucket:
-		return "schemabucket"
 	default:
 		return fmt.Sprintf("indexkind(%d)", uint8(k))
 	}

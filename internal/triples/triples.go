@@ -11,7 +11,6 @@
 package triples
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -264,15 +263,13 @@ func Recompose(oid string, ts []Triple) Tuple {
 // families. (The paper hashes raw oids/values; a namespace byte preserves all
 // locality properties while avoiding accidental collisions between families.)
 const (
-	nsOID          = "O"
-	nsAttr         = "A"
-	nsValue        = "V"
-	nsGram         = "G"
-	nsSchema       = "S"
-	nsShort        = "W"
-	nsCat          = "N"
-	nsBucket       = "L"
-	nsSchemaBucket = "M"
+	nsOID    = "O"
+	nsAttr   = "A"
+	nsValue  = "V"
+	nsGram   = "G"
+	nsSchema = "S"
+	nsShort  = "W"
+	nsCat    = "N"
 )
 
 // term terminates every variable-length final key component. Terminators
@@ -386,32 +383,6 @@ func ShortValueKey(attr string, v Value) keys.Key {
 
 // ShortValuePrefix is the scan prefix of the short-value index of attr.
 func ShortValuePrefix(attr string) keys.Key { return nsKey(nsShort, attr, "") }
-
-// BucketKey is the instance-level LSH posting key: attr#band#bucket, where
-// band is one byte and bucket the band's 64-bit MinHash bucket id, both
-// big-endian (see internal/keyscheme). The suffix is fixed-width within an
-// attribute and attribute names exclude '#' and control bytes, so — like
-// the terminated text keys — no stored bucket key is a proper bit-prefix
-// of another.
-func BucketKey(attr string, band uint8, bucket uint64) keys.Key {
-	b := make([]byte, 0, 1+1+len(attr)+1+1+8)
-	b = append(b, nsBucket...)
-	b = append(b, keys.Separator)
-	b = append(b, attr...)
-	b = append(b, keys.Separator, band)
-	b = binary.BigEndian.AppendUint64(b, bucket)
-	return keys.FromBytes(b)
-}
-
-// SchemaBucketKey is the schema-level LSH posting key: band#bucket of the
-// attribute name's MinHash signature.
-func SchemaBucketKey(band uint8, bucket uint64) keys.Key {
-	b := make([]byte, 0, 1+1+1+8)
-	b = append(b, nsSchemaBucket...)
-	b = append(b, keys.Separator, band)
-	b = binary.BigEndian.AppendUint64(b, bucket)
-	return keys.FromBytes(b)
-}
 
 // CatalogKey indexes each distinct attribute name once, enabling complete
 // schema-level similarity for attribute names below the gram guarantee

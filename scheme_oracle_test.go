@@ -95,8 +95,8 @@ func schemeOracleFingerprint(t *testing.T, eng *core.Engine, corpus []string) st
 // TestQGramSchemeOracleGoldens pins the q-gram scheme's observable behavior
 // to goldens captured before the KeyScheme refactor: identical results,
 // message counts, hop counts, byte counts and per-family posting counts on
-// both executors. Any divergence means the refactor changed the scheme's
-// behavior rather than merely relocating it behind the interface.
+// both executors. Any divergence means a refactor of the scheme changed its
+// behavior rather than merely moving code.
 func TestQGramSchemeOracleGoldens(t *testing.T) {
 	corpus := dataset.BibleWords(300, 7)
 	tuples := dataset.StringTuples("word", "o", corpus)
