@@ -75,7 +75,7 @@ func figureBench(b *testing.B, kind string) {
 				var msgs, bytes int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tally, err := bench.RunMix(eng, attr, corpus, w, m, int64(i+1))
+					tally, err := bench.RunMixObserved(eng, attr, corpus, w, m, int64(i+1), nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -22,7 +22,7 @@ import (
 // engine gets Engine.Concurrent, whose bodies interleave on the runtime's
 // one virtual timeline.
 func runClients(eng *core.Engine, n int, body func(i int)) {
-	if eng.Mode() == core.RuntimeActor {
+	if eng.Runtime() != nil {
 		eng.Concurrent(n, body)
 		return
 	}

@@ -156,7 +156,7 @@ func TestRunMixAccountsCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := bench.Workload{Repeats: 1, JoinLeftLimit: 3, TopNs: []int{2}, JoinDists: []int{1}}
-	tally, err := bench.RunMix(eng, "word", corpus, w, ops.MethodQSamples, 1)
+	tally, err := bench.RunMixObserved(eng, "word", corpus, w, ops.MethodQSamples, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,17 +314,12 @@ func QueryMix() Workload {
 	return w
 }
 
-// RunMix executes one initiation of the query mix (three top-N queries plus
-// three self-joins) on an already-loaded engine and returns its cost.
-// testing.B benchmarks iterate it directly.
-func RunMix(eng *core.Engine, attr string, corpus []string, w Workload, method ops.Method, seed int64) (metrics.Tally, error) {
-	return RunMixObserved(eng, attr, corpus, w, method, seed, nil)
-}
-
-// RunMixObserved is RunMix with a per-query hook: each query of the mix runs
-// on its own tally (so latency and hop measures are per query, not chained
-// across the mix) and observe, when non-nil, receives it. The returned total
-// sums the counters and max-folds the path measures.
+// RunMixObserved executes one initiation of the query mix (three top-N
+// queries plus three self-joins) on an already-loaded engine and returns its
+// cost. Each query of the mix runs on its own tally (so latency and hop
+// measures are per query, not chained across the mix) and observe, when
+// non-nil, receives it. The returned total sums the counters and max-folds
+// the path measures.
 func RunMixObserved(eng *core.Engine, attr string, corpus []string, w Workload,
 	method ops.Method, seed int64, observe func(metrics.Tally)) (metrics.Tally, error) {
 

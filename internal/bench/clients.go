@@ -1,20 +1,10 @@
-// Closed-loop concurrent-clients workload: offered load vs. latency and
-// queueing percentiles.
-//
-// The paper's cost model counts messages per query in isolation; the actor
-// engine's asynchronous operation issue makes the *contended* regime
-// measurable instead: N closed-loop clients share the overlay's one virtual
-// timeline, each issuing its next query the moment the previous one
-// completed, so queries of different clients queue behind each other in
-// peer mailboxes. Sweeping N gives the classic offered-load curve — latency
-// percentiles flat while the system is underutilized, then climbing as
-// cross-operation queueing dominates.
+// Client-body helpers of the traffic drivers: issueQuery runs one
+// similarity query on a client's virtual timeline, and the peer-load
+// snapshots attribute a sweep point's service time to its hottest peer.
 package bench
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -22,166 +12,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// ClientsPoint is one closed-loop measurement at a fixed client count.
-type ClientsPoint struct {
-	// Clients is the offered load: concurrently issuing closed-loop clients.
-	Clients int
-	// Queries is the number of completed queries across all clients.
-	Queries int
-	// Messages and Bytes sum the per-query costs over the point's queries.
-	// Per-query cost is invariant across client counts (contention changes
-	// timing, not routing); totals scale with the offered load, since each
-	// point runs Clients*PerClient queries.
-	Messages int64
-	Bytes    int64
-	// MakespanUS is the virtual time from the first kickoff to the last
-	// completion across all clients (µs).
-	MakespanUS int64
-	// Latency percentiles of per-query duration (client timeline, µs).
-	MeanLatencyUS, P50LatencyUS, P95LatencyUS, MaxLatencyUS float64
-	// QueueTotalUS sums every query's mailbox waiting time (µs); MeanQueueUS
-	// averages it per query. Strictly positive cross-operation queueing under
-	// load is the signature of the contended model.
-	QueueTotalUS int64
-	MeanQueueUS  float64
-	// HottestPeer is the peer that accrued the most service (busy) time
-	// during this point's queries, and HottestShare its fraction of the
-	// point's total busy time across all peers — the load-skew measure of the
-	// saturation studies. Only actor engines attribute busy time; other modes
-	// leave HottestPeer at -1 and HottestShare at 0.
-	HottestPeer  simnet.NodeID
-	HottestShare float64
-}
-
-// ClientsWorkload parametrizes the closed-loop sweep.
-type ClientsWorkload struct {
-	// Attr is the column the corpus is stored under (default "word").
-	Attr string
-	// PerClient is the number of queries each client issues (default 4).
-	PerClient int
-	// Distance is the similarity distance of each query (default 1).
-	Distance int
-	// Method selects the similarity method (default q-grams).
-	Method ops.Method
-	// Seed drives the needle/initiator schedule (default 1).
-	Seed int64
-	// ThinkUS, when positive, is the mean of an exponential per-query think
-	// time (µs): each client idles on its own timeline before issuing the
-	// next query, the classic interactive closed-loop model. Zero keeps the
-	// back-to-back loop. Think draws come from the same seeded schedule as
-	// needles, so a sweep replays identically.
-	ThinkUS int64
-}
-
-func (w *ClientsWorkload) normalize() {
-	if w.Attr == "" {
-		w.Attr = "word"
-	}
-	if w.PerClient <= 0 {
-		w.PerClient = 4
-	}
-	if w.Distance <= 0 {
-		w.Distance = 1
-	}
-	if w.Seed == 0 {
-		w.Seed = 1
-	}
-}
-
-// ConcurrentClients sweeps client counts over one loaded engine. Every point
-// issues the same seeded per-client query schedule, so a given query's
-// message and byte cost is identical across points and execution modes;
-// only the timing terms (latency, queueing, makespan) respond to the
-// offered load. Totals grow with the client count — each point runs
-// Clients*PerClient queries.
-func ConcurrentClients(eng *core.Engine, corpus []string, clientCounts []int, w ClientsWorkload) ([]ClientsPoint, error) {
-	w.normalize()
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("bench: empty corpus")
-	}
-	peers := eng.Grid().PeerCount()
-	var out []ClientsPoint
-	for _, clients := range clientCounts {
-		if clients < 1 {
-			return nil, fmt.Errorf("bench: client count %d < 1", clients)
-		}
-		// Deterministic per-client schedules, identical across points up to
-		// the client partitioning.
-		type q struct {
-			needle  string
-			from    simnet.NodeID
-			thinkUS int64
-		}
-		sched := make([][]q, clients)
-		rng := newRand(w.Seed)
-		for c := range sched {
-			sched[c] = make([]q, w.PerClient)
-			for i := range sched[c] {
-				sched[c][i] = q{
-					needle: corpus[rng.Intn(len(corpus))],
-					from:   simnet.NodeID(rng.Intn(peers)),
-				}
-				if w.ThinkUS > 0 {
-					sched[c][i].thinkUS = int64(rng.ExpFloat64() * float64(w.ThinkUS))
-				}
-			}
-		}
-
-		var (
-			mu       sync.Mutex
-			firstErr error
-			pt       = ClientsPoint{Clients: clients, HottestPeer: -1}
-			latHist  = metrics.NewHistogram(metrics.LatencyBounds())
-			makespan int64
-		)
-		before := peerLoadSnapshot(eng)
-		opts := ops.SimilarOptions{Method: w.Method, NoShortFallback: true}
-		eng.Concurrent(clients, func(client int) {
-			var ct metrics.Tally // client timeline: queries chain on it
-			for _, qq := range sched[client] {
-				d, err := issueQuery(eng, &ct, qq.from, qq.needle, w.Attr, w.Distance, opts,
-					ct.PathEnd()+qq.thinkUS)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("bench: clients=%d client %d similar(%q): %w",
-						clients, client, qq.needle, err)
-				}
-				pt.Queries++
-				pt.Messages += d.Messages
-				pt.Bytes += d.Bytes
-				pt.QueueTotalUS += d.Queue
-				latHist.Observe(float64(d.Latency))
-				mu.Unlock()
-			}
-			// The client's final PathEnd is its last completion instant.
-			mu.Lock()
-			if end := ct.PathEnd(); end > makespan {
-				makespan = end
-			}
-			mu.Unlock()
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		pt.MakespanUS = makespan
-		pt.MeanLatencyUS = latHist.Mean()
-		pt.P50LatencyUS = latHist.Quantile(0.5)
-		pt.P95LatencyUS = latHist.Quantile(0.95)
-		pt.MaxLatencyUS = latHist.Max()
-		if pt.Queries > 0 {
-			pt.MeanQueueUS = float64(pt.QueueTotalUS) / float64(pt.Queries)
-		}
-		pt.HottestPeer, pt.HottestShare = hottestPeer(eng, before)
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// issueQuery is the one client-body shape both traffic models share: advance
-// the client timeline to startUS (elapsed think time, or an open-loop
-// arrival instant), run one similarity query, and return its own cost slice.
-// The pre-seed lands before the snapshot, so the slice's Latency is the
-// query's sojourn from startUS to completion, think/idle time excluded.
+// issueQuery is the client-body shape of the open-loop driver: advance the
+// client timeline to startUS (an arrival instant), run one similarity query,
+// and return its own cost slice. The pre-seed lands before the snapshot, so
+// the slice's Latency is the query's sojourn from startUS to completion,
+// idle time excluded.
 func issueQuery(eng *core.Engine, ct *metrics.Tally, from simnet.NodeID, needle, attr string,
 	d int, opts ops.SimilarOptions, startUS int64) (metrics.Tally, error) {
 
@@ -245,24 +80,6 @@ func hottestPeer(eng *core.Engine, before map[simnet.NodeID]peerLoad) (simnet.No
 	default:
 		return -1, 0
 	}
-}
-
-// FormatClients renders the sweep as an aligned offered-load table.
-func FormatClients(points []ClientsPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-8s %-10s %-12s %-12s %-12s %-12s %-12s %s\n",
-		"clients", "queries", "msgs", "mean-lat", "p95-lat", "max-lat", "mean-queued", "makespan", "hottest")
-	for _, p := range points {
-		hottest := "-"
-		if p.HottestPeer >= 0 {
-			hottest = fmt.Sprintf("peer %d (%.1f%%)", p.HottestPeer, 100*p.HottestShare)
-		}
-		fmt.Fprintf(&b, "%-8d %-8d %-10d %-12s %-12s %-12s %-12s %-12s %s\n",
-			p.Clients, p.Queries, p.Messages,
-			ms(p.MeanLatencyUS), ms(p.P95LatencyUS), ms(p.MaxLatencyUS),
-			ms(p.MeanQueueUS), ms(float64(p.MakespanUS)), hottest)
-	}
-	return b.String()
 }
 
 func ms(us float64) string { return fmt.Sprintf("%.2fms", us/1000) }

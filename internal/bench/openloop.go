@@ -1,13 +1,13 @@
 // Open-loop workload driver: Poisson arrivals with a Zipf-skewed needle
 // population, swept over offered rates to locate the saturation knee.
 //
-// The closed-loop sweep (clients.go) couples arrivals to completions — a
-// slow system throttles its own offered load. The open-loop model removes
-// that coupling: queries arrive on the overlay's virtual timeline at
-// exponentially distributed interarrival times regardless of how far behind
-// the system is, so past the knee the sojourn percentiles diverge instead of
-// plateauing. Each arrival is one client body pre-seeded to its arrival
-// instant (bench.issueQuery); on the actor engine all arrivals share the one
+// A closed loop couples arrivals to completions — a slow system throttles
+// its own offered load. The open-loop model removes that coupling: queries
+// arrive on the overlay's virtual timeline at exponentially distributed
+// interarrival times regardless of how far behind the system is, so past
+// the knee the sojourn percentiles diverge instead of plateauing. Each
+// arrival is one client body pre-seeded to its arrival instant
+// (bench.issueQuery); on the actor engine all arrivals share the one
 // discrete-event timeline and contend in peer mailboxes. Zipf needle skew is
 // what makes the initiator-side caches earn their keep: the hot needles and
 // their probe keys answer locally after the first miss.
@@ -85,7 +85,10 @@ type OpenLoopPoint struct {
 	// QueueTotalUS sums every query's mailbox waiting time (µs).
 	QueueTotalUS int64
 	MeanQueueUS  float64
-	// HottestPeer and HottestShare: per-point load skew, as in ClientsPoint.
+	// HottestPeer is the peer that accrued the most service (busy) time
+	// during this point's queries, and HottestShare its fraction of the
+	// point's total busy time across all peers. Only actor engines attribute
+	// busy time; direct engines leave HottestPeer at -1 and HottestShare at 0.
 	HottestPeer  simnet.NodeID
 	HottestShare float64
 	// Cache is the point's initiator-cache counter delta (zero-valued when
@@ -98,8 +101,8 @@ type OpenLoopPoint struct {
 // then injects each arrival as one concurrent client body pre-seeded to its
 // arrival instant. On actor engines the bodies contend on the shared
 // discrete-event timeline, which is where the saturation knee comes from;
-// direct and fanout engines model no cross-query contention, so their
-// sojourns stay flat and only the cache effects respond to the rate.
+// direct engines model no cross-query contention, so their sojourns stay
+// flat and only the cache effects respond to the rate.
 //
 // Needle and initiator draws are rate-invariant (the rate scales arrival
 // times only), so every point asks the identical questions and points are

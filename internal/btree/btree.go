@@ -538,17 +538,6 @@ func (n *node[V]) mergeChildren(i int) {
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
-// Height reports the tree height (a single leaf root has height 1).
-func (t *Tree[V, P]) Height() int {
-	h := 0
-	for n := t.root; ; n = n.children[0] {
-		h++
-		if n.leaf() {
-			return h
-		}
-	}
-}
-
 // checkInvariants verifies B-tree structural invariants; tests use it via
 // export_test.go. It returns a descriptive error on the first violation.
 func (t *Tree[V, P]) checkInvariants() error {

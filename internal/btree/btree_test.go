@@ -477,7 +477,7 @@ func TestHeightLogarithmic(t *testing.T) {
 		tr.Insert(key(i), val(i))
 	}
 	// With degree 16, height of 100k entries must be small.
-	if h := tr.Height(); h > 6 {
+	if h := tr.height(); h > 6 {
 		t.Errorf("height = %d for %d entries, want <= 6", h, n)
 	}
 	if err := tr.CheckInvariants(); err != nil {

@@ -19,7 +19,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -275,9 +274,6 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 // Net exposes the simulated network (metrics, failure injection).
 func (e *Engine) Net() *simnet.Network { return e.net }
 
-// Mode reports the engine's execution mode.
-func (e *Engine) Mode() RuntimeMode { return e.cfg.Runtime }
-
 // Runtime exposes the discrete-event runtime of an actor-mode engine (nil
 // otherwise): tools read per-peer mailbox and load stats from it.
 func (e *Engine) Runtime() *asyncnet.Runtime { return e.grid.Runtime() }
@@ -329,36 +325,22 @@ func (e *Engine) Concurrent(n int, body func(client int)) {
 	e.grid.Concurrent(n, body)
 }
 
-// BatchResult is the outcome of one query of a QueryBatch: the materialized
-// result and the query's own cost slice (messages and bytes are exact;
-// Latency is the query's duration on its client's timeline, including any
-// cross-client queueing; Queue is its summed mailbox waiting time).
+// BatchResult is the outcome of one query of a QueryBatchFrom: the
+// materialized result and the query's own cost slice (messages and bytes are
+// exact; Latency is the query's duration on its client's timeline, including
+// any cross-client queueing; Queue is its summed mailbox waiting time).
 type BatchResult struct {
 	Result *plan.Result
 	Tally  metrics.Tally
 	Err    error
 }
 
-// QueryBatch executes a batch of VQL queries across `clients` closed-loop
-// concurrent clients: client c runs queries c, c+clients, c+2*clients, …,
-// each starting on its client's timeline as soon as the previous one
-// completed. Initiating peers are drawn deterministically up front (one per
-// query, as the paper chooses initiators randomly), so every execution mode
-// and client count answers the identical query schedule — on actor engines
-// with identical results and message costs to sequential issue, plus the
-// honest contention terms.
-func (e *Engine) QueryBatch(queries []string, clients int) []BatchResult {
-	froms := make([]simnet.NodeID, len(queries))
-	for i := range froms {
-		froms[i] = e.grid.RandomPeer()
-	}
-	return e.QueryBatchFrom(queries, froms, clients)
-}
-
-// QueryBatchFrom is QueryBatch with explicit initiating peers (one per
-// query): oracles and benchmarks use it to run the identical schedule —
-// same queries, same initiators — sequentially and concurrently, or across
-// execution modes, and compare costs exactly.
+// QueryBatchFrom executes a batch of VQL queries across `clients` closed-loop
+// concurrent clients with explicit initiating peers (one per query): client c
+// runs queries c, c+clients, c+2*clients, …, each starting on its client's
+// timeline as soon as the previous one completed. Oracles use it to run the
+// identical schedule — same queries, same initiators — sequentially and
+// concurrently, or across execution modes, and compare costs exactly.
 func (e *Engine) QueryBatchFrom(queries []string, froms []simnet.NodeID, clients int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
@@ -478,16 +460,4 @@ func (e *Engine) Stats() Stats {
 		Storage: e.store.Stats(),
 		Network: e.net.Collector().Total(),
 	}
-}
-
-// ErrNoData reports an Open call without tuples; an empty engine is almost
-// always a caller bug (the overlay would have no balancing sample).
-var ErrNoData = errors.New("core: no tuples to load")
-
-// OpenStrict is Open but rejects empty datasets.
-func OpenStrict(data []triples.Tuple, cfg Config) (*Engine, error) {
-	if len(data) == 0 {
-		return nil, ErrNoData
-	}
-	return Open(data, cfg)
 }

@@ -137,15 +137,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestOpenStrict(t *testing.T) {
-	if _, err := OpenStrict(nil, Config{}); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	if _, err := OpenStrict(demoData(), Config{Peers: 4}); err != nil {
-		t.Errorf("OpenStrict = %v", err)
-	}
-}
-
 func TestOpenRejectsBadData(t *testing.T) {
 	bad := []triples.Tuple{{OID: "x#y", Fields: []triples.Field{{Name: "a", Val: triples.Number(1)}}}}
 	if _, err := Open(bad, Config{Peers: 4}); err == nil {

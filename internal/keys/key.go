@@ -97,9 +97,6 @@ func (k Key) CloneInto(arena []byte) (Key, []byte) {
 // Len reports the number of bits in k.
 func (k Key) Len() int { return k.n }
 
-// IsEmpty reports whether k has zero bits.
-func (k Key) IsEmpty() bool { return k.n == 0 }
-
 // Bit returns the bit at index i (0 is most significant) as 0 or 1.
 // It panics if i is out of range.
 func (k Key) Bit(i int) int {
@@ -355,26 +352,6 @@ func DecodeNumberKey(k Key) (float64, error) {
 // values ("we hash Ai#vi where # denotes concatenation"). Attribute names must
 // not contain it; triples.ValidateAttr enforces that.
 const Separator = '#'
-
-// AttrPrefixKey returns the key prefix shared by all values of an attribute:
-// StringKey(attr + "#"). A range scan below this prefix visits every triple of
-// the attribute in value order.
-func AttrPrefixKey(attr string) Key {
-	return StringKey(attr + string(rune(Separator)))
-}
-
-// AttrStringKey returns the storage key for a string value of an attribute:
-// the order-preserving hash of "attr#value".
-func AttrStringKey(attr, value string) Key {
-	return StringKey(attr + string(rune(Separator)) + value)
-}
-
-// AttrNumberKey returns the storage key for a numeric value of an attribute:
-// the attribute prefix followed by the 64-bit order-preserving number
-// encoding. Within one attribute, key order equals numeric order.
-func AttrNumberKey(attr string, value float64) Key {
-	return AttrPrefixKey(attr).Concat(NumberKey(value))
-}
 
 // Interval is a closed key interval [Lo, Hi] used by range queries.
 //

@@ -290,47 +290,6 @@ func TestDecodeNumberKeyWrongLength(t *testing.T) {
 	}
 }
 
-func TestAttrKeys(t *testing.T) {
-	p := AttrPrefixKey("name")
-	v := AttrStringKey("name", "bmw")
-	if !v.HasPrefix(p) {
-		t.Error("AttrStringKey does not extend AttrPrefixKey")
-	}
-	n := AttrNumberKey("price", 42000)
-	if !n.HasPrefix(AttrPrefixKey("price")) {
-		t.Error("AttrNumberKey does not extend AttrPrefixKey")
-	}
-	if n.Len() != AttrPrefixKey("price").Len()+64 {
-		t.Errorf("AttrNumberKey length = %d", n.Len())
-	}
-}
-
-func TestAttrNumberKeyOrderWithinAttr(t *testing.T) {
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return true
-		}
-		kx, ky := AttrNumberKey("hp", x), AttrNumberKey("hp", y)
-		return sign(compareFloat(x, y)) == kx.Compare(ky)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAttrKeysDistinctAttrsDisjoint(t *testing.T) {
-	// "price" and "pricey" must not collide thanks to the separator.
-	a := AttrStringKey("price", "x")
-	if a.HasPrefix(AttrPrefixKey("pricey")) {
-		t.Error("separator failed: price#x has prefix pricey#")
-	}
-	b := AttrStringKey("pricey", "x")
-	if b.HasPrefix(AttrPrefixKey("price")) {
-		// "pricey#x" does begin with bytes "price" but NOT "price#".
-		t.Error("separator failed: pricey#x has prefix price#")
-	}
-}
-
 func TestMinMaxInPrefix(t *testing.T) {
 	p := FromBits("10")
 	lo, hi := p.MinInPrefix(5), p.MaxInPrefix(5)

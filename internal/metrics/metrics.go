@@ -86,8 +86,7 @@ func (t *Tally) AddUnanswered() {
 	atomic.AddInt64(&t.Unanswered, 1)
 }
 
-// UnansweredCount reports the abandoned branches so far; result caches use
-// it to tell complete answers from degraded ones. Nil-safe.
+// UnansweredCount reports the abandoned branches so far. Nil-safe.
 func (t *Tally) UnansweredCount() int64 {
 	if t == nil {
 		return 0
@@ -122,14 +121,6 @@ func (t *Tally) PathEnd() int64 {
 		return 0
 	}
 	return atomic.LoadInt64(&t.Latency)
-}
-
-// MaxHops returns the longest observed forwarding chain. Nil-safe.
-func (t *Tally) MaxHops() int64 {
-	if t == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&t.Hops)
 }
 
 // Snapshot returns a consistent copy using atomic loads; use it while other
@@ -415,23 +406,6 @@ func (c *Collector) Reset() {
 	c.latency.Reset()
 	c.hops.Reset()
 	c.queue.Reset()
-}
-
-// Report renders a deterministic multi-line per-kind breakdown, sorted by
-// kind, for tools and EXPERIMENTS.md appendices.
-func (c *Collector) Report() string {
-	byKind := c.ByKind()
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var b strings.Builder
-	fmt.Fprintf(&b, "total: %s\n", c.Total())
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "  %-24s %s\n", k, byKind[k])
-	}
-	return b.String()
 }
 
 // QueryReport renders the per-query latency and hop summaries gathered via

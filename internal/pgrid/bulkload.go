@@ -8,14 +8,17 @@ package pgrid
 // posting, one epoch snapshot, one hash, one leaf search and one per-store
 // lock acquisition. BulkLoad amortizes all four over a whole batch:
 //
+//  0. order: the batch is taken in (key, posting) order — the order every
+//     store keeps and ops.PlanLoadStream emits; any other batch is sorted
+//     once, on a copy;
 //  1. pre-hash: every key resolves to its responsible leaf through a
-//     rank→leaf table (one binary search over the hash anchors per key, one
-//     array lookup instead of a leaf search), in parallel chunks;
+//     rank→leaf table (a rank cursor advanced along the sorted batch against
+//     the hash anchors, one array lookup instead of a leaf search), in
+//     parallel chunks;
 //  2. shard: a counting sort groups entry indices by leaf, preserving batch
-//     order within each shard;
-//  3. apply: one owner goroutine per partition sorts its shard by (key,
-//     posting) — the order every store keeps — and merges the batch into
-//     every member store under a single lock, rebuilding the tree bottom-up.
+//     order — already the stores' order — within each shard;
+//  3. apply: one owner goroutine per partition merges its shard into every
+//     member store under a single lock, rebuilding the tree bottom-up.
 //     Replicas alias the shard's key/posting slices; nothing is copied per
 //     member, and no two goroutines ever touch the same partition store, so
 //     there is no cross-shard lock contention.
@@ -27,6 +30,7 @@ package pgrid
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,11 +66,9 @@ var ErrNoPartition = errors.New("pgrid: no partition covers key")
 // into its stores by a bottom-up rebuild, so stores stay at bulk occupancy
 // across any number of batches.
 //
-// When the batch is already sorted by (key, posting) — the order
-// ops.PlanLoadStream emits — responsibility resolution degrades from one
-// binary search per entry to a linear merge against the hash anchors, and
-// shard batches skip their sort entirely (the counting sort preserves input
-// order).
+// A batch not already sorted by (key, posting) — the order
+// ops.PlanLoadStream emits — is sorted once on a copy; the caller's slice is
+// never reordered.
 func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 	if len(entries) == 0 {
 		return nil
@@ -76,10 +78,12 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 	}
 	v := g.snapshot()
 
-	sorted := true
+	// Every pass below relies on (key, posting) order. An unsorted batch is
+	// sorted on a copy, so the caller's slice stays as it was.
 	for i := 1; i < len(entries); i++ {
 		if compareEntries(&entries[i-1], &entries[i]) > 0 {
-			sorted = false
+			entries = slices.Clone(entries)
+			slices.SortFunc(entries, func(a, b BulkEntry) int { return compareEntries(&a, &b) })
 			break
 		}
 	}
@@ -121,18 +125,14 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 		}
 	}
 
-	// Pass 1 (parallel): resolve every key to its responsible leaf. Sorted
-	// batches advance a rank cursor instead of re-searching per key.
+	// Pass 1 (parallel): resolve every key to its responsible leaf. Each
+	// chunk searches its first rank and advances a cursor from there.
 	leafOf := make([]int32, len(entries))
 	var uncovered atomic.Bool
 	parallelRanges(len(entries), workers, func(lo, hi int) {
 		rank := g.h.rank(entries[lo].Key)
 		for i := lo; i < hi; i++ {
-			if sorted {
-				rank = g.h.advanceRank(rank, entries[i].Key)
-			} else if i > lo {
-				rank = g.h.rank(entries[i].Key)
-			}
+			rank = g.h.advanceRank(rank, entries[i].Key)
 			li := rankLeaf[rank]
 			if li < 0 {
 				uncovered.Store(true)
@@ -163,19 +163,7 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 		next[li]++
 	}
 
-	// Pass 3 (parallel): one owner goroutine per partition shard. When there
-	// are fewer busy shards than workers, the leftover workers parallelize
-	// each shard's sort instead of idling (the unsorted-batch path).
-	busy := 0
-	for _, c := range counts {
-		if c > 0 {
-			busy++
-		}
-	}
-	sortWorkers := 1
-	if !sorted && busy > 0 && busy < workers {
-		sortWorkers = workers / busy
-	}
+	// Pass 3 (parallel): one owner goroutine per partition shard.
 	var wg sync.WaitGroup
 	work := make(chan int, workers)
 	for w := 0; w < workers; w++ {
@@ -183,7 +171,7 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 		go func() {
 			defer wg.Done()
 			for li := range work {
-				g.applyShard(v, li, entries, order[offs[li]:offs[li+1]], sorted, sortWorkers)
+				g.applyShard(v, li, entries, order[offs[li]:offs[li+1]])
 			}
 		}()
 	}
@@ -198,14 +186,10 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 }
 
 // applyShard merges one partition's shard of entry indices into every member
-// store as a single batch sorted by (key, posting), the stores' own order.
-// Pre-sorted batches need no re-sort — the counting sort preserved input
-// order. Members read the shared shard through an index closure; nothing is
-// copied per replica.
-func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32, sorted bool, sortWorkers int) {
-	if !sorted {
-		sortShard(entries, shard, sortWorkers)
-	}
+// store as a single batch in (key, posting) order, the stores' own order: the
+// counting sort kept the sorted batch's order. Members read the shared shard
+// through an index closure; nothing is copied per replica.
+func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32) {
 	at := func(j int) (keys.Key, triples.Posting) {
 		e := &entries[shard[j]]
 		return e.Key, e.Posting

@@ -198,8 +198,17 @@ func TestBulkLoadThenMembershipChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.BulkLoad(entries, 8); err != nil {
+	// The batch arrives shuffled: BulkLoad sorts a copy and must leave the
+	// caller's slice element-for-element as it was.
+	rand.New(rand.NewSource(2)).Shuffle(len(entries), func(i, j int) {
+		entries[i], entries[j] = entries[j], entries[i]
+	})
+	batch := slices.Clone(entries)
+	if err := g.BulkLoad(batch, 8); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.EqualFunc(batch, entries, func(a, b BulkEntry) bool { return compareEntries(&a, &b) == 0 }) {
+		t.Fatal("BulkLoad reordered the caller's batch")
 	}
 
 	check := func(stage string) {

@@ -73,10 +73,9 @@ type Config struct {
 	// on the fabric; without one the hashed path is kept, as it is by
 	// default, so seeded route determinism is opt-out only.
 	LatencyAwareRefs bool
-	// LoadWorkers bounds the goroutines construction-time sorts may use
-	// (the balancing-sample sort in Build and large unsorted shard sorts in
-	// BulkLoad). <= 1 keeps those sorts serial. The sorted outcome is
-	// identical for any value.
+	// LoadWorkers bounds the goroutines the balancing-sample sort in Build
+	// may use. <= 1 keeps that sort serial. The sorted outcome is identical
+	// for any value.
 	LoadWorkers int
 	// Retry enables the robustness layer (see robust.go): wire sends lost in
 	// transit are retransmitted with exponential virtual-time backoff,

@@ -278,8 +278,20 @@ func TestWriteFencingOracle(t *testing.T) {
 			for i := 0; i < inserts; i++ {
 				var tally metrics.Tally
 				k := testKey(nItems + i)
-				if err := g.Insert(&tally, g.RandomPeer(), k, testPosting(nItems+i)); err != nil {
-					t.Fatalf("Insert(%d): %v", i, err)
+				// The churner's Leave may land between drawing the initiator
+				// and the insert's epoch snapshot; the insert then fails at its
+				// first step with ErrDeparted. Only that case redraws, at most
+				// 3 times.
+				for attempt := 1; ; attempt++ {
+					from := g.RandomPeer()
+					err := g.Insert(&tally, from, k, testPosting(nItems+i))
+					if err == nil {
+						break
+					}
+					if _, perr := g.Peer(from); attempt <= 3 && errors.Is(err, ErrDeparted) && errors.Is(perr, ErrDeparted) {
+						continue
+					}
+					t.Fatalf("Insert(%d) from %d: %v", i, from, err)
 				}
 			}
 			wg.Wait()
@@ -311,6 +323,44 @@ func TestWriteFencingOracle(t *testing.T) {
 						t.Fatalf("%s: key %d stranded %d times on non-member %d",
 							mode, i, n, p.id)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestInsertFromDepartedPeer pins the error an insert initiated by a peer
+// that has left the overlay returns, on both executors: ErrDeparted, with
+// nothing stored.
+func TestInsertFromDepartedPeer(t *testing.T) {
+	for _, mode := range []string{"direct", "actor"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Replication = 2
+			if mode == "actor" {
+				cfg.Exec = ExecActor
+			}
+			g := buildSeqGrid(t, simnet.New(16), 16, 100, cfg)
+			var p simnet.NodeID = -1
+			for _, l := range g.snapshot().leafList() {
+				if len(l.peers) > 1 {
+					p = l.peers[0]
+					break
+				}
+			}
+			if p < 0 {
+				t.Fatal("fixture: no partition with two members")
+			}
+			if err := g.Leave(nil, p); err != nil {
+				t.Fatal(err)
+			}
+			k := testKey(500)
+			if err := g.Insert(nil, p, k, testPosting(500)); !errors.Is(err, ErrDeparted) {
+				t.Fatalf("Insert from departed peer %d = %v, want ErrDeparted", p, err)
+			}
+			for _, q := range g.snapshot().peerList() {
+				if q != nil && countOID(q, k, testPosting(500).Triple.OID) != 0 {
+					t.Fatalf("peer %d stored the rejected insert", q.id)
 				}
 			}
 		})

@@ -1,16 +1,12 @@
 package pgrid
 
-// Parallel merge sorts for construction-time batches.
+// Parallel merge sort for construction-time key sets.
 //
-// Build sorts the whole balancing sample (O(corpus) keys) and BulkLoad sorts
-// unsorted shards before applying them; both were serial comparison sorts and
-// dominate wall-clock at million-tuple scale. The helpers here sort by
-// splitting into contiguous runs, sorting runs on goroutines, and merging
-// pairwise. Outputs are deterministic: the key sort produces the same sorted
-// sequence as sort.Slice (equal keys are interchangeable values), and the
-// shard sort orders entries by (key, posting), the order peer stores keep —
-// identical entries are interchangeable too, and the stable run sorts and
-// merges keep them in shard order anyway.
+// Build sorts the whole balancing sample (O(corpus) keys); a serial
+// comparison sort of it dominates wall-clock at million-tuple scale. The
+// helpers here sort by splitting into contiguous runs, sorting runs on
+// goroutines, and merging pairwise. The output is deterministic: the same
+// sorted sequence as sort.Slice (equal keys are interchangeable values).
 
 import (
 	"sort"
@@ -77,58 +73,6 @@ func sortKeysParallel(ks []keys.Key, workers int) {
 			copy(buf[l:h], ks[l:h])
 		} else {
 			copy(ks[l:h], buf[l:h])
-		}
-	})
-}
-
-// sortShard sorts shard — indices into entries — by (key, posting), the
-// order peer stores keep, using up to `workers` goroutines. workers <= 1 is
-// the serial sort.
-func sortShard(entries []BulkEntry, shard []int32, workers int) {
-	if workers <= 1 || len(shard) < parallelSortMin {
-		sort.SliceStable(shard, func(a, b int) bool {
-			return compareEntries(&entries[shard[a]], &entries[shard[b]]) < 0
-		})
-		return
-	}
-	bounds := runBounds(len(shard), workers)
-	var wg sync.WaitGroup
-	for r := 0; r+1 < len(bounds); r++ {
-		run := shard[bounds[r]:bounds[r+1]]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sort.SliceStable(run, func(a, b int) bool {
-				return compareEntries(&entries[run[a]], &entries[run[b]]) < 0
-			})
-		}()
-	}
-	wg.Wait()
-	buf := make([]int32, len(shard))
-	mergeRuns(len(shard), bounds, func(src bool, l, m, h int) {
-		a, b := shard, buf
-		if !src {
-			a, b = buf, shard
-		}
-		i, j, o := l, m, l
-		for i < m && j < h {
-			// <= takes from the earlier (left) run on ties: stability.
-			if compareEntries(&entries[a[i]], &entries[a[j]]) <= 0 {
-				b[o] = a[i]
-				i++
-			} else {
-				b[o] = a[j]
-				j++
-			}
-			o++
-		}
-		copy(b[o:], a[i:m])
-		copy(b[o+m-i:h], a[j:h])
-	}, func(src bool, l, h int) {
-		if src {
-			copy(buf[l:h], shard[l:h])
-		} else {
-			copy(shard[l:h], buf[l:h])
 		}
 	})
 }

@@ -82,13 +82,6 @@ func (n *Network) SetFaults(plan *FaultPlan) {
 	n.faultMu.Unlock()
 }
 
-// Faults returns the installed loss model (nil when the fabric is lossless).
-func (n *Network) Faults() *FaultPlan {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.faults
-}
-
 // Drops reports how many messages the fault plan has dropped so far.
 func (n *Network) Drops() int64 { return atomic.LoadInt64(&n.drops) }
 

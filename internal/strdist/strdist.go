@@ -149,22 +149,6 @@ const (
 	PadEnd   = '\x02'
 )
 
-// Grams returns all overlapping positional q-grams of s, unpadded. Strings
-// shorter than q yield no grams; most callers want PaddedGrams.
-func Grams(s string, q int) []Gram {
-	if q <= 0 {
-		panic("strdist: q must be positive")
-	}
-	if len(s) < q {
-		return nil
-	}
-	out := make([]Gram, 0, len(s)-q+1)
-	for i := 0; i+q <= len(s); i++ {
-		out = append(out, Gram{Text: s[i : i+q], Pos: i})
-	}
-	return out
-}
-
 // pad extends s with q-1 PadStart bytes on the left and q-1 PadEnd bytes on
 // the right.
 func pad(s string, q int) string {

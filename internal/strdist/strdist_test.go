@@ -152,32 +152,13 @@ func TestWithinDistance(t *testing.T) {
 	}
 }
 
-func TestGrams(t *testing.T) {
-	gs := Grams("abcde", 3)
-	want := []Gram{{"abc", 0}, {"bcd", 1}, {"cde", 2}}
-	if len(gs) != len(want) {
-		t.Fatalf("Grams = %v", gs)
-	}
-	for i := range want {
-		if gs[i] != want[i] {
-			t.Fatalf("Grams[%d] = %v, want %v", i, gs[i], want[i])
-		}
-	}
-	if got := Grams("ab", 3); got != nil {
-		t.Errorf("Grams on short string = %v, want nil", got)
-	}
-	if got := Grams("", 2); got != nil {
-		t.Errorf("Grams on empty = %v", got)
-	}
-}
-
 func TestGramsPanicsOnBadQ(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Grams(q=0) did not panic")
+			t.Error("PaddedGrams(q=0) did not panic")
 		}
 	}()
-	Grams("abc", 0)
+	PaddedGrams("abc", 0)
 }
 
 func TestPaddedGrams(t *testing.T) {

@@ -198,12 +198,6 @@ func ReadTriple(b []byte) (Triple, int, error) {
 	return Triple{OID: oid, Attr: attr, Val: val}, n1 + n2 + n3, nil
 }
 
-// EncodedTripleSize reports the wire size of a triple without materializing
-// the encoding.
-func EncodedTripleSize(t Triple) int {
-	return len(AppendTriple(nil, t))
-}
-
 // AppendPosting appends a posting.
 func AppendPosting(b []byte, p Posting) []byte {
 	b = append(b, byte(p.Index))

@@ -352,9 +352,6 @@ func TestTripleRoundTrip(t *testing.T) {
 	if got != tr {
 		t.Errorf("round trip changed triple: %v -> %v", tr, got)
 	}
-	if EncodedTripleSize(tr) != len(b) {
-		t.Error("EncodedTripleSize mismatch")
-	}
 }
 
 func TestPostingRoundTrip(t *testing.T) {
@@ -432,7 +429,7 @@ func TestEncodingSizesReasonable(t *testing.T) {
 			s[j] = byte('a' + rng.Intn(26))
 		}
 		tr := Triple{OID: "o", Attr: "a", Val: String(string(s))}
-		size := EncodedTripleSize(tr)
+		size := len(AppendTriple(nil, tr))
 		if size < n || size > n+20 {
 			t.Errorf("triple size %d for %d-byte value", size, n)
 		}
