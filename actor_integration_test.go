@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/ops"
+	"repro/internal/plan"
 	"repro/internal/simnet"
 )
 
@@ -196,6 +197,38 @@ func TestActorNumericTopNMatchesDirect(t *testing.T) {
 	}
 }
 
+// batchResult is the outcome of one query of a queryBatchFrom: the
+// materialized result and the query's own cost slice (messages and bytes are
+// exact; Latency is the query's duration on its client's timeline, including
+// any cross-client queueing; Queue is its summed mailbox waiting time).
+type batchResult struct {
+	Result *plan.Result
+	Tally  metrics.Tally
+	Err    error
+}
+
+// queryBatchFrom executes a batch of VQL queries across `clients` closed-loop
+// concurrent clients with one initiating peer per query: client c runs
+// queries c, c+clients, c+2*clients, …, each starting on its client's
+// timeline as soon as the previous one completed. It runs the identical
+// schedule — same queries, same initiators — sequentially and concurrently,
+// or across execution modes, so costs compare exactly.
+func queryBatchFrom(e *core.Engine, queries []string, froms []simnet.NodeID, clients int) []batchResult {
+	out := make([]batchResult, len(queries))
+	e.Concurrent(clients, func(client int) {
+		// One chained tally per client: each query starts at the previous
+		// one's completion (closed loop); per-query slices are snapshot
+		// diffs, the convention metrics.Tally.Sub documents.
+		var ct metrics.Tally
+		for qi := client; qi < len(queries); qi += clients {
+			before := ct.Snapshot()
+			res, err := e.QueryFrom(froms[qi], &ct, queries[qi])
+			out[qi] = batchResult{Result: res, Tally: ct.Snapshot().Sub(before), Err: err}
+		}
+	})
+	return out
+}
+
 // TestQueryBatchConcurrentClientsOracle pins the engine-level half of the
 // asynchronous-issue oracle: a batch of VQL queries executed by concurrent
 // closed-loop clients on one shared virtual timeline returns identical rows
@@ -219,8 +252,8 @@ func TestQueryBatchConcurrentClientsOracle(t *testing.T) {
 
 	// Sequential baseline on the actor engine (clients=1).
 	actor := engines[core.RuntimeActor]
-	seq := actor.QueryBatchFrom(queries, froms, 1)
-	conc := actor.QueryBatchFrom(queries, froms, 4)
+	seq := queryBatchFrom(actor, queries, froms, 1)
+	conc := queryBatchFrom(actor, queries, froms, 4)
 	var seqQueue, concQueue int64
 	for i := range queries {
 		if seq[i].Err != nil || conc[i].Err != nil {
@@ -250,7 +283,7 @@ func TestQueryBatchConcurrentClientsOracle(t *testing.T) {
 	// The direct engine answers the identical schedule with identical rows
 	// and message costs (cross-executor oracle), and zero queueing.
 	direct := engines[core.RuntimeDirect]
-	dconc := direct.QueryBatchFrom(queries, froms, 4)
+	dconc := queryBatchFrom(direct, queries, froms, 4)
 	for i := range queries {
 		if dconc[i].Err != nil {
 			t.Fatalf("direct query %d: %v", i, dconc[i].Err)

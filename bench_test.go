@@ -1,6 +1,6 @@
 // Package repro holds the benchmark harness that regenerates every figure of
 // the paper's evaluation (Figure 1 a-d) plus the validation and ablation
-// experiments indexed in DESIGN.md (E2-E4, A1-A5).
+// experiments (E2-E4, A3-A5).
 //
 // The benchmarks run laptop-scale versions of the sweeps (the corpora and
 // peer counts are scaled down from the paper's 106k words / 100k peers);
@@ -224,24 +224,6 @@ func ablationSimilar(b *testing.B, name string, base, variant ops.SimilarOptions
 			b.ReportMetric(float64(found)/float64(b.N), "matches/query")
 		})
 	}
-}
-
-// BenchmarkAblationFilters quantifies the length+position filters of
-// Algorithm 2 line 8 (A1): without them every gram hit becomes a candidate
-// fetch.
-func BenchmarkAblationFilters(b *testing.B) {
-	ablationSimilar(b, "filters",
-		ops.SimilarOptions{Method: ops.MethodQGrams},
-		ops.SimilarOptions{Method: ops.MethodQGrams, NoFilters: true})
-}
-
-// BenchmarkAblationDelegation quantifies the batched shower-style routing of
-// Section 4's second optimization (A2): without it every gram and candidate
-// oid costs a separately routed lookup.
-func BenchmarkAblationDelegation(b *testing.B) {
-	ablationSimilar(b, "batched",
-		ops.SimilarOptions{Method: ops.MethodQGrams},
-		ops.SimilarOptions{Method: ops.MethodQGrams, NoBatchedRouting: true})
 }
 
 // BenchmarkAblationShortIndex quantifies the short-string side index this

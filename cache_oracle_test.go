@@ -32,7 +32,6 @@ func TestCacheInvalidationOracle(t *testing.T) {
 				cfg := core.Config{Peers: peers, Runtime: mode, Cache: cache}
 				cfg.Grid.Replication = 2
 				cfg.Grid.RefsPerLevel = 3
-				cfg.Grid.MaxDepth = 64
 				cfg.Grid.Seed = 9
 				eng, err := core.Open(tuples, cfg)
 				if err != nil {

@@ -40,7 +40,6 @@ func openTwins(t *testing.T, tuples []triples.Tuple, cfg core.Config) twins {
 	t.Helper()
 	cfg.Grid.Replication = 2
 	cfg.Grid.RefsPerLevel = 3
-	cfg.Grid.MaxDepth = 64
 	cfg.Grid.Seed = 9
 	var engs [2]*core.Engine
 	for i, cache := range []bool{true, false} {

@@ -127,7 +127,6 @@ func TestQueriesTolerateCrashChurn(t *testing.T) {
 			cfg := core.Config{Peers: 96, Runtime: mode, Latency: asyncnet.DefaultLatency(4)}
 			cfg.Grid.Replication = 3
 			cfg.Grid.RefsPerLevel = 4
-			cfg.Grid.MaxDepth = 64
 			cfg.Grid.Seed = 1
 			eng, err := core.Open(dataset.StringTuples("word", "o", corpus), cfg)
 			if err != nil {
@@ -197,7 +196,6 @@ func TestMembershipChurnDuringSimilarityQueries(t *testing.T) {
 			cfg := core.Config{Peers: peers, Runtime: mode, Latency: asyncnet.DefaultLatency(6)}
 			cfg.Grid.Replication = 2
 			cfg.Grid.RefsPerLevel = 3
-			cfg.Grid.MaxDepth = 64
 			cfg.Grid.Seed = 1
 			eng, err := core.Open(dataset.StringTuples("word", "o", corpus), cfg)
 			if err != nil {

@@ -25,7 +25,7 @@ func TestDeleteRemovesOnlyItsOwnPosting(t *testing.T) {
 	for _, mode := range []core.RuntimeMode{core.RuntimeDirect, core.RuntimeActor} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := core.Config{Peers: 8, Runtime: mode}
-			cfg.Grid = pgrid.Config{Replication: 2, RefsPerLevel: 2, MaxDepth: 64, Seed: 1}
+			cfg.Grid = pgrid.Config{Replication: 2, RefsPerLevel: 2, Seed: 1}
 			eng, err := core.Open(data, cfg)
 			if err != nil {
 				t.Fatal(err)

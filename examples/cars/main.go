@@ -9,6 +9,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -77,11 +80,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spellings := map[string]int{}
+	counts := map[string]int{}
 	for _, m := range ms {
-		spellings[m.Attr]++
+		counts[m.Attr]++
 	}
-	for s, n := range spellings {
-		fmt.Printf("   %-8s used by %d dealers\n", s, n)
+	// Most-used spelling first, ties by name, so every run prints the same.
+	spellings := slices.Sorted(maps.Keys(counts))
+	sort.SliceStable(spellings, func(i, j int) bool { return counts[spellings[i]] > counts[spellings[j]] })
+	for _, s := range spellings {
+		fmt.Printf("   %-8s used by %d dealers\n", s, counts[s])
 	}
 }

@@ -76,7 +76,7 @@ type Config struct {
 	// Grid configures overlay construction (replication, routing
 	// redundancy, seed).
 	Grid pgrid.Config
-	// Store configures the storage scheme (gram size, short-string limit).
+	// Store configures the storage scheme (gram size, short-value index).
 	Store ops.StoreConfig
 	// Plan configures query planning, notably the similarity method
 	// (q-grams, q-samples, or the naive scan).
@@ -125,16 +125,9 @@ type Config struct {
 	// answer locally at zero message cost. A write drops exactly the cached
 	// posting lists whose key it wrote and the answers whose evaluation read
 	// a key or scanned prefix it wrote; Join, Leave and RefreshRefs drop
-	// nothing. Nonzero cache byte bounds imply it.
+	// nothing. The caches take their default byte bounds
+	// (ops.DefaultPostingCacheBytes, ops.DefaultResultCacheBytes).
 	Cache bool
-	// PostingCacheBytes bounds the posting cache's accounted bytes (0 =
-	// ops.DefaultPostingCacheBytes; negative disables the posting cache).
-	// Nonzero implies Cache.
-	PostingCacheBytes int
-	// ResultCacheBytes bounds the result cache's accounted bytes (0 =
-	// ops.DefaultResultCacheBytes; negative disables the result cache).
-	// Nonzero implies Cache.
-	ResultCacheBytes int
 	// Drop is the per-message loss probability of the fabric (0 = lossless).
 	// The fault plan installs after the load phase — the paper does not
 	// measure loading, and a lossy load would make the stored state depend on
@@ -143,20 +136,17 @@ type Config struct {
 	// configured Grid.Retry explicitly. Drops are deterministic per
 	// (seed, link, sequence), so same-seed lossy runs are byte-identical.
 	Drop float64
-	// FaultSeed isolates the loss draws from every other seeded choice
-	// (default: derived from Grid.Seed).
-	FaultSeed uint64
 }
 
 func (c *Config) normalize() {
 	if c.Peers <= 0 {
 		c.Peers = 64
 	}
-	if c.Grid.RefsPerLevel == 0 && c.Grid.Replication == 0 && c.Grid.MaxDepth == 0 {
+	if c.Grid.RefsPerLevel == 0 && c.Grid.Replication == 0 {
 		// Fill only the structural fields; every other Grid setting the
 		// caller made (routing, retry, exec) survives.
 		def := pgrid.DefaultConfig()
-		c.Grid.Replication, c.Grid.RefsPerLevel, c.Grid.MaxDepth = def.Replication, def.RefsPerLevel, def.MaxDepth
+		c.Grid.Replication, c.Grid.RefsPerLevel = def.Replication, def.RefsPerLevel
 		if c.Grid.Seed == 0 {
 			c.Grid.Seed = def.Seed
 		}
@@ -169,17 +159,11 @@ func (c *Config) normalize() {
 		c.Latency = asyncnet.Bandwidth{Base: c.Latency, BytesPerSec: c.Bandwidth}
 		c.Grid.ServiceRate = c.Bandwidth
 	}
-	if c.PostingCacheBytes != 0 || c.ResultCacheBytes != 0 {
-		c.Cache = true
-	}
 	if c.Drop > 0 && !c.Grid.Retry.Enabled {
 		// A lossy fabric without the robustness layer would just fail
 		// queries wholesale; losses only mean anything when something
 		// retransmits. Callers tune attempts/backoff via Grid.Retry.
 		c.Grid.Retry = pgrid.RetryConfig{Enabled: true}
-	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = uint64(c.Grid.Seed)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03
 	}
 }
 
@@ -243,17 +227,16 @@ func Open(data []triples.Tuple, cfg Config) (*Engine, error) {
 	if cfg.Drop > 0 {
 		// Loss injects after the load phase: the stored state must not depend
 		// on the drop schedule, and measured queries start at link sequence
-		// zero so same-seed lossy runs replay identically.
-		net.SetFaults(&simnet.FaultPlan{DropRate: cfg.Drop, Seed: cfg.FaultSeed})
+		// zero so same-seed lossy runs replay identically. The loss draws
+		// take a seed of their own, derived from the grid's, so they are
+		// isolated from every other seeded choice.
+		faultSeed := uint64(cfg.Grid.Seed)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03
+		net.SetFaults(&simnet.FaultPlan{DropRate: cfg.Drop, Seed: faultSeed})
 	}
 	if cfg.Cache {
 		// Caches install after the load phase: cached traffic belongs to the
 		// measured phase like every other counter.
-		store.EnableCache(ops.CacheConfig{
-			PostingBytes: cfg.PostingCacheBytes,
-			ResultBytes:  cfg.ResultCacheBytes,
-			Seed:         cfg.Grid.Seed,
-		})
+		store.EnableCache(ops.CacheConfig{Seed: cfg.Grid.Seed})
 	}
 	eng := &Engine{cfg: cfg, net: net, grid: grid, store: store,
 		load: LoadInfo{Windows: plan.Windows(), Budget: plan.Budget(),
@@ -323,53 +306,6 @@ func (e *Engine) QueryFrom(from simnet.NodeID, tally *metrics.Tally, query strin
 // costs.
 func (e *Engine) Concurrent(n int, body func(client int)) {
 	e.grid.Concurrent(n, body)
-}
-
-// BatchResult is the outcome of one query of a QueryBatchFrom: the
-// materialized result and the query's own cost slice (messages and bytes are
-// exact; Latency is the query's duration on its client's timeline, including
-// any cross-client queueing; Queue is its summed mailbox waiting time).
-type BatchResult struct {
-	Result *plan.Result
-	Tally  metrics.Tally
-	Err    error
-}
-
-// QueryBatchFrom executes a batch of VQL queries across `clients` closed-loop
-// concurrent clients with explicit initiating peers (one per query): client c
-// runs queries c, c+clients, c+2*clients, …, each starting on its client's
-// timeline as soon as the previous one completed. Oracles use it to run the
-// identical schedule — same queries, same initiators — sequentially and
-// concurrently, or across execution modes, and compare costs exactly.
-func (e *Engine) QueryBatchFrom(queries []string, froms []simnet.NodeID, clients int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if len(froms) != len(queries) {
-		for i := range out {
-			out[i].Err = fmt.Errorf("core: %d initiators for %d queries", len(froms), len(queries))
-		}
-		return out
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > len(queries) {
-		clients = len(queries)
-	}
-	e.Concurrent(clients, func(client int) {
-		// One chained tally per client: each query starts at the previous
-		// one's completion (closed loop); per-query slices are snapshot
-		// diffs, the convention metrics.Tally.Sub documents.
-		var ct metrics.Tally
-		for qi := client; qi < len(queries); qi += clients {
-			before := ct.Snapshot()
-			res, err := e.QueryFrom(froms[qi], &ct, queries[qi])
-			out[qi] = BatchResult{Result: res, Tally: ct.Snapshot().Sub(before), Err: err}
-		}
-	})
-	return out
 }
 
 // Explain returns the physical plan of a query without executing it.

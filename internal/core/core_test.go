@@ -170,8 +170,7 @@ func TestPartialGridConfigSurvives(t *testing.T) {
 	if got.Retry != grid.Retry {
 		t.Errorf("Retry = %+v, want %+v", got.Retry, grid.Retry)
 	}
-	if got.Replication != def.Replication || got.RefsPerLevel != def.RefsPerLevel ||
-		got.MaxDepth != def.MaxDepth || got.Seed != def.Seed {
+	if got.Replication != def.Replication || got.RefsPerLevel != def.RefsPerLevel || got.Seed != def.Seed {
 		t.Errorf("structural fields = %+v, want DefaultConfig's", got)
 	}
 }

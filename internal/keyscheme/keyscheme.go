@@ -34,8 +34,7 @@ type Entry struct {
 // ProbeSet is the query-side plan of a scheme for one needle: the keys to
 // retrieve (ascending, so message traces stay reproducible), the index
 // family the results must belong to, and the per-posting candidate
-// predicate (Algorithm 2 line 8). Callers always enforce Kind but may skip
-// Accept (the filter ablation).
+// predicate (Algorithm 2 line 8). Callers enforce both Kind and Accept.
 type ProbeSet struct {
 	Keys   []keys.Key
 	Kind   triples.IndexKind

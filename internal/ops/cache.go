@@ -33,9 +33,8 @@ import (
 // postings between peers unchanged and invalidate nothing: an answer does not
 // depend on who holds the data.
 //
-// Both caches are bypassed under the NoBatchedRouting and NoFilters ablations
-// and for the naive method: those paths exist to measure the uncached wire
-// protocol, so their fetches must keep hitting the wire.
+// Both caches are bypassed for the naive method: it exists to measure the
+// uncached wire protocol, so its fetches must keep hitting the wire.
 
 // Default byte bounds of the two caches, in accounted entry bytes — what the
 // entries hold on the heap, see the cost functions below; CacheConfig

@@ -198,24 +198,23 @@ func TestCacheSurvivesMembership(t *testing.T) {
 	}
 }
 
-// TestCacheBypassedByAblations: the ablation options and the naive baseline
-// measure the uncached wire protocol, so they must never hit either cache.
-func TestCacheBypassedByAblations(t *testing.T) {
+// TestCacheBypassedByNaive: the naive baseline measures the uncached wire
+// protocol, so it must never hit either cache.
+func TestCacheBypassedByNaive(t *testing.T) {
 	f := newWordFixture(t, 24, 120, StoreConfig{})
 	f.store.EnableCache(CacheConfig{})
 	needle := f.words[5]
-	for _, opts := range []SimilarOptions{{NoBatchedRouting: true}, {NoFilters: true}, {Method: MethodNaive}} {
-		first, _ := f.measure(t, needle, 1, opts)
-		second, cost := f.measure(t, needle, 1, opts)
-		if cost == 0 {
-			t.Errorf("%+v: repeat was served from the cache", opts)
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("%+v: repeated ablation queries diverge", opts)
-		}
+	opts := SimilarOptions{Method: MethodNaive}
+	first, _ := f.measure(t, needle, 1, opts)
+	second, cost := f.measure(t, needle, 1, opts)
+	if cost == 0 {
+		t.Error("repeat was served from the cache")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("repeated naive queries diverge")
 	}
 	if st := f.store.CacheStats(); st.Results.Hits != 0 || st.Postings.Hits != 0 {
-		t.Errorf("ablation queries hit the caches: %+v", st)
+		t.Errorf("naive queries hit the caches: %+v", st)
 	}
 }
 

@@ -577,6 +577,19 @@ func TestSimilarNumeric(t *testing.T) {
 	if _, err := f.store.SimilarNumeric(nil, 0, "hp", 104, -1); err == nil {
 		t.Error("negative distance accepted")
 	}
+	// dist < d is strict: 100 and 110 lie at distance exactly 5.
+	ts, err = f.store.SimilarNumeric(nil, 0, "hp", 105, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts) != 1 || ts[0].Val.Num != 105 {
+		t.Errorf("SimilarNumeric(105, 5) = %v, want only 105", ts)
+	}
+	// dist < 0 holds for nothing, not even the center.
+	ts, err = f.store.SimilarNumeric(nil, 0, "hp", 105, 0)
+	if err != nil || len(ts) != 0 {
+		t.Errorf("SimilarNumeric(105, 0) = %v, %v; want nothing, no error", ts, err)
+	}
 }
 
 func TestScanAttrAndKeyword(t *testing.T) {

@@ -135,16 +135,24 @@ func (s *Store) SelectValuePrefix(t *metrics.Tally, from simnet.NodeID, attr, pr
 	return postingTriples(ps, triples.IndexAttrValue), nil
 }
 
-// SimilarNumeric maps a numeric similarity predicate dist(value, center) < d
-// to the interval [center-d, center+d] and processes it as a range query
-// (Section 4: "for similarity queries on numerical attributes we map the
-// provided similarity measure to a corresponding interval").
+// NumericDistBounds maps a numeric similarity predicate dist(value, center)
+// within d to the interval between center-d and center+d (Section 4: "for
+// similarity queries on numerical attributes we map the provided similarity
+// measure to a corresponding interval"): open endpoints for the strict
+// dist < d, closed ones for dist <= d.
+func NumericDistBounds(center, d float64, strict bool) (lo, hi Bound) {
+	return Bound{Value: center - d, Open: strict}, Bound{Value: center + d, Open: strict}
+}
+
+// SimilarNumeric returns the triples of attr whose numeric value v satisfies
+// dist(v, center) < d, processed as a range query over the open interval
+// NumericDistBounds gives.
 func (s *Store) SimilarNumeric(t *metrics.Tally, from simnet.NodeID, attr string, center, d float64) ([]triples.Triple, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("ops: negative numeric distance %g", d)
 	}
-	return s.SelectNumRange(t, from, attr,
-		&Bound{Value: center - d}, &Bound{Value: center + d})
+	lo, hi := NumericDistBounds(center, d, true)
+	return s.SelectNumRange(t, from, attr, &lo, &hi)
 }
 
 // ScanAttr returns every triple of an attribute, in value order.

@@ -180,37 +180,3 @@ func triplesValues(ts []triples.Triple) []string {
 	sort.Strings(out)
 	return out
 }
-
-func TestUnbatchedAndUnfilteredVariantsSameResults(t *testing.T) {
-	f := newWordFixture(t, 32, 250, StoreConfig{})
-	needle := f.words[7]
-	base, err := f.store.Similar(nil, 0, needle, "word", 2, SimilarOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []SimilarOptions{
-		{NoBatchedRouting: true},
-		{NoFilters: true},
-		{NoBatchedRouting: true, NoFilters: true},
-	} {
-		got, err := f.store.Similar(nil, 0, needle, "word", 2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(base) {
-			t.Errorf("opts %+v changed result count: %d vs %d", opts, len(got), len(base))
-		}
-	}
-	// Unbatched must cost strictly more messages.
-	var batched, unbatched metrics.Tally
-	if _, err := f.store.Similar(&batched, 0, needle, "word", 2, SimilarOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.store.Similar(&unbatched, 0, needle, "word", 2,
-		SimilarOptions{NoBatchedRouting: true}); err != nil {
-		t.Fatal(err)
-	}
-	if unbatched.Messages <= batched.Messages {
-		t.Errorf("unbatched (%d msgs) not above batched (%d)", unbatched.Messages, batched.Messages)
-	}
-}

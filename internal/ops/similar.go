@@ -40,17 +40,6 @@ type SimilarOptions struct {
 	// store maintains them, reproducing the paper's Algorithm 2 verbatim
 	// (which can miss matches below the guarantee threshold).
 	NoShortFallback bool
-	// NoBatchedRouting issues one routed lookup per gram and per candidate
-	// oid instead of the shower-style multicast, undoing the second
-	// optimization Section 4 describes ("we collect the calls to Retrieve()
-	// and contact peers only once"). Used by the delegation ablation. It
-	// also bypasses both initiator-side caches: the ablation's point is the
-	// uncached wire protocol.
-	NoBatchedRouting bool
-	// NoFilters disables the length and position filters of Algorithm 2
-	// line 8, letting every gram hit become a candidate. Used by the filter
-	// ablation; it bypasses the result cache.
-	NoFilters bool
 }
 
 // queryScratch holds the reusable buffers of one similarity-query phase: the
@@ -92,9 +81,8 @@ const localAnswerVTime simnet.VTime = 1
 // When the result cache is enabled, the whole answer is served locally at
 // zero message cost if the identical question (needle, attr, d, method,
 // short-fallback setting) was answered before and no write has since landed
-// on anything that evaluation read (see cache.go). The ablation options
-// (NoBatchedRouting, NoFilters) and the naive baseline bypass both caches:
-// they exist to measure the uncached wire protocol.
+// on anything that evaluation read (see cache.go). The naive baseline
+// bypasses both caches: it exists to measure the uncached wire protocol.
 func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr string, d int,
 	opts SimilarOptions, start simnet.VTime) ([]Match, simnet.VTime, error) {
 
@@ -102,8 +90,7 @@ func (s *Store) similarAt(t *metrics.Tally, from simnet.NodeID, needle, attr str
 		return nil, start, fmt.Errorf("ops: negative distance %d", d)
 	}
 	c := s.cache
-	if c == nil || c.results == nil || opts.Method == MethodNaive ||
-		opts.NoBatchedRouting || opts.NoFilters {
+	if c == nil || c.results == nil || opts.Method == MethodNaive {
 		return s.similarUncachedAt(t, from, needle, attr, d, opts, nil, start)
 	}
 	key := resultCacheKey{needle: needle, attr: attr, d: d, method: opts.Method, noShort: opts.NoShortFallback}
@@ -176,7 +163,7 @@ func (s *Store) similarUncachedAt(t *metrics.Tally, from simnet.NodeID, needle, 
 	for oid := range shortOids {
 		oids[oid] = true
 	}
-	objects, end, err := s.reconstructSetAt(t, from, oids, opts.NoBatchedRouting, opts.NoFilters, reads, end)
+	objects, end, err := s.reconstructSetAt(t, from, oids, false, reads, end)
 	if err != nil {
 		return nil, end, err
 	}
@@ -193,25 +180,16 @@ func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 	probes := s.scheme.Probes(attr, needle, d, opts.Method == MethodQSamples)
 	reads.addKeys(probes.Keys)
 
-	keyOf := probes.KeyOf
-	if opts.NoFilters {
-		// Ablations measure the uncached wire protocol; a nil keyOf keeps
-		// the posting cache out of fetch.
-		keyOf = nil
-	}
 	qs := s.getQueryScratch()
 	defer s.putQueryScratch(qs)
-	postings, end, err := s.fetch(t, from, probes.Keys, opts.NoBatchedRouting, keyOf, qs.postings[:0], start)
+	postings, end, err := s.fetch(t, from, probes.Keys, probes.KeyOf, qs.postings[:0], start)
 	if err != nil {
 		return nil, end, err
 	}
 	qs.postings = postings[:0]
 	oids := make(map[string]bool)
 	for _, p := range postings {
-		if p.Index != probes.Kind {
-			continue
-		}
-		if !opts.NoFilters && !probes.Accept(p) {
+		if p.Index != probes.Kind || !probes.Accept(p) {
 			continue
 		}
 		oids[p.Triple.OID] = true
@@ -219,41 +197,21 @@ func (s *Store) probeCandidates(t *metrics.Tally, from simnet.NodeID, needle, at
 	return oids, end, nil
 }
 
-// fetch retrieves postings for a key batch, either with the shower-style
-// multicast (default) or with one routed lookup per key (ablation). The
-// unbatched lookups are independent, so they fan out from the same start
-// time on the actor engine.
+// fetch retrieves postings for a key batch with the shower-style multicast.
 //
 // With the posting cache enabled (and a keyOf attribution function — see
 // keyscheme.ProbeSet.KeyOf), hot keys are served locally and only the misses
 // travel as a partial-batch multicast. dst, when non-nil, is the caller's
 // pooled merge buffer; the returned slice may alias it (or, on the
-// pass-through paths, be a fresh slice from the executor).
+// pass-through path, be a fresh slice from the executor).
 func (s *Store) fetch(t *metrics.Tally, from simnet.NodeID, ks []keys.Key,
-	unbatched bool, keyOf func(triples.Posting) (keys.Key, bool),
+	keyOf func(triples.Posting) (keys.Key, bool),
 	dst []triples.Posting, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
 
-	if c := s.cache; c != nil && c.postings != nil && keyOf != nil && !unbatched {
+	if c := s.cache; c != nil && c.postings != nil && keyOf != nil {
 		return s.fetchCached(c.postings, t, from, ks, keyOf, dst, start)
 	}
-	if !unbatched {
-		return s.grid.MultiLookupAt(t, from, ks, start)
-	}
-	results := make([][]triples.Posting, len(ks))
-	errs := make([]error, len(ks))
-	end := s.grid.Fanout(start, len(ks), func(i int, st simnet.VTime) simnet.VTime {
-		ps, e, err := s.grid.LookupAt(t, from, ks[i], st)
-		results[i], errs[i] = ps, err
-		return e
-	})
-	out := dst
-	for i, ps := range results {
-		if errs[i] != nil {
-			return nil, end, errs[i]
-		}
-		out = append(out, ps...)
-	}
-	return out, end, nil
+	return s.grid.MultiLookupAt(t, from, ks, start)
 }
 
 // fetchCached is the posting-cache path of fetch: cached keys answer from
@@ -421,7 +379,7 @@ func (s *Store) similarNaiveAt(t *metrics.Tally, from simnet.NodeID, needle, att
 	}
 	// The naive baseline stays entirely uncached: it is the paper's cost
 	// comparison, so its reconstruction fetches must hit the wire too.
-	objects, end, err := s.reconstructSetAt(t, from, oids, false, true, nil, end)
+	objects, end, err := s.reconstructSetAt(t, from, oids, true, nil, end)
 	if err != nil {
 		return nil, end, err
 	}
@@ -432,17 +390,17 @@ func (s *Store) similarNaiveAt(t *metrics.Tally, from simnet.NodeID, needle, att
 // multicast over the oid index (lines 10-11 of Algorithm 2, using the
 // shower-style batching the paper lists as an implemented optimization).
 func (s *Store) reconstruct(t *metrics.Tally, from simnet.NodeID, oids []string) ([]triples.Tuple, error) {
-	out, _, err := s.reconstructAt(t, from, oids, false, false, nil, simnet.VTime(t.PathEnd()))
+	out, _, err := s.reconstructAt(t, from, oids, false, nil, simnet.VTime(t.PathEnd()))
 	return out, err
 }
 
 // reconstructSetAt flattens a candidate oid set into a pooled scratch slice
 // and reconstructs — one flatten, one sort (inside reconstructAt), zero
 // per-query slice allocations on the similarity path. noCache keeps the
-// posting cache out of the oid fetch (ablations, the naive baseline); reads,
+// posting cache out of the oid fetch (the naive baseline); reads,
 // when non-nil, records the oid keys fetched.
 func (s *Store) reconstructSetAt(t *metrics.Tally, from simnet.NodeID, set map[string]bool,
-	unbatched, noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
+	noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
 
 	if len(set) == 0 {
 		return nil, start, nil
@@ -454,7 +412,7 @@ func (s *Store) reconstructSetAt(t *metrics.Tally, from simnet.NodeID, set map[s
 		oids = append(oids, oid)
 	}
 	qs.oids = oids
-	return s.reconstructAt(t, from, oids, unbatched, noCache, reads, start)
+	return s.reconstructAt(t, from, oids, noCache, reads, start)
 }
 
 // oidKeyOf attributes an oid-index posting back to its storage key for the
@@ -467,7 +425,7 @@ func oidKeyOf(p triples.Posting) (keys.Key, bool) {
 }
 
 func (s *Store) reconstructAt(t *metrics.Tally, from simnet.NodeID, oids []string,
-	unbatched, noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
+	noCache bool, reads *readSet, start simnet.VTime) ([]triples.Tuple, simnet.VTime, error) {
 
 	if len(oids) == 0 {
 		return nil, start, nil
@@ -485,7 +443,7 @@ func (s *Store) reconstructAt(t *metrics.Tally, from simnet.NodeID, oids []strin
 	if noCache {
 		keyOf = nil
 	}
-	postings, end, err := s.fetch(t, from, ks, unbatched, keyOf, qs.postings[:0], start)
+	postings, end, err := s.fetch(t, from, ks, keyOf, qs.postings[:0], start)
 	if err != nil {
 		return nil, end, err
 	}

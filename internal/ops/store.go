@@ -23,7 +23,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pgrid"
 	"repro/internal/simnet"
-	"repro/internal/strdist"
 	"repro/internal/triples"
 )
 
@@ -56,19 +55,17 @@ func (m Method) String() string {
 	}
 }
 
+// MaxDistance is the largest similarity distance the store is tuned for, the
+// maximum distance of the paper's evaluation queries: it sizes the short-value
+// index (values shorter than the scheme's ShortThreshold(MaxDistance)) and
+// caps the iterative deepening of rank-aware string queries.
+const MaxDistance = 5
+
 // StoreConfig fixes the storage-scheme parameters. It stays comparable
 // (ApplyLoadPlan guards plan/store agreement by struct equality).
 type StoreConfig struct {
 	// Q is the gram size (default 3).
 	Q int
-	// MaxDistance is the largest similarity distance the store is tuned
-	// for; it sizes the short-value index (default 5, the maximum distance
-	// of the paper's evaluation queries).
-	MaxDistance int
-	// ShortLimit overrides the short-value index limit; 0 derives it from
-	// the scheme's short threshold at MaxDistance
-	// (strdist.GuaranteeThreshold).
-	ShortLimit int
 	// DisableShortIndex turns the completeness extension off entirely,
 	// reproducing the paper's storage scheme verbatim.
 	DisableShortIndex bool
@@ -77,12 +74,6 @@ type StoreConfig struct {
 func (c *StoreConfig) normalize() {
 	if c.Q <= 0 {
 		c.Q = 3
-	}
-	if c.MaxDistance <= 0 {
-		c.MaxDistance = 5
-	}
-	if c.ShortLimit <= 0 {
-		c.ShortLimit = strdist.GuaranteeThreshold(c.Q, c.MaxDistance)
 	}
 }
 
@@ -192,7 +183,7 @@ func appendTripleEntries(dst []pgrid.BulkEntry, cfg *StoreConfig, sch keyscheme.
 			p.GramText, p.GramPos, p.SrcLen = e.GramText, e.GramPos, e.SrcLen
 			add(e.Kind, e.Key, p)
 		}
-		if !cfg.DisableShortIndex && len(v) < cfg.ShortLimit {
+		if !cfg.DisableShortIndex && len(v) < sch.ShortThreshold(MaxDistance) {
 			add(triples.IndexShort, triples.ShortValueKey(tr.Attr, tr.Val), full)
 		}
 	}

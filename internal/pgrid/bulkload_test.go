@@ -50,7 +50,7 @@ func TestBulkLoadMatchesSerialBulkInsert(t *testing.T) {
 	for i, e := range entries {
 		sample[i] = e.Key
 	}
-	cfg := Config{Replication: 2, RefsPerLevel: 2, MaxDepth: 64, Seed: 3}
+	cfg := Config{Replication: 2, RefsPerLevel: 2, Seed: 3}
 
 	build := func() (*Grid, *simnet.Network) {
 		net := simnet.New(nPeers)
@@ -118,7 +118,7 @@ func TestBulkLoadOrdersTiesByPosting(t *testing.T) {
 	for i, e := range keySorted {
 		sample[i] = e.Key
 	}
-	cfg := Config{Replication: 2, RefsPerLevel: 2, MaxDepth: 64, Seed: 5}
+	cfg := Config{Replication: 2, RefsPerLevel: 2, Seed: 5}
 	load := func(entries []BulkEntry, workers int) *Grid {
 		g, err := Build(simnet.New(nPeers), nPeers, sample, cfg)
 		if err != nil {
@@ -194,7 +194,7 @@ func TestBulkLoadThenMembershipChurn(t *testing.T) {
 	const nPeers, nItems = 48, 3000
 	entries, sample := seqEntries(nItems)
 	net := simnet.New(nPeers)
-	g, err := Build(net, nPeers, sample, Config{Replication: 2, RefsPerLevel: 2, MaxDepth: 64, Seed: 9})
+	g, err := Build(net, nPeers, sample, Config{Replication: 2, RefsPerLevel: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

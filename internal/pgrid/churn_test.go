@@ -140,7 +140,7 @@ func TestChurnSafeMembershipDuringQueries(t *testing.T) {
 							ks = append(ks, testKey(i))
 							want[fmt.Sprintf("o%d", i)] = true
 						}
-						res, err := g.MultiLookup(nil, from, ks)
+						res, _, err := g.MultiLookupAt(nil, from, ks, 0)
 						if err != nil {
 							t.Errorf("worker %d: MultiLookup: %v", w, err)
 							return

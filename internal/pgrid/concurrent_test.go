@@ -44,7 +44,7 @@ func runOne(t *testing.T, g *Grid, op issueOp, nItems int) (string, metrics.Tall
 		for j := 0; j < 7; j++ {
 			ks = append(ks, testKey((op.i*29+j*11)%nItems))
 		}
-		res, err = g.MultiLookup(&tally, op.from, ks)
+		res, _, err = g.MultiLookupAt(&tally, op.from, ks, 0)
 	case 2:
 		lo := (op.i * 17) % (nItems - 50)
 		res, err = g.RangeQuery(&tally, op.from, keys.Interval{Lo: testKey(lo), Hi: testKey(lo + 40)}, RangeOptions{})

@@ -109,7 +109,7 @@ func TestExecutorsAgreeExactly(t *testing.T) {
 				for j := 0; j < 9; j++ {
 					ks = append(ks, testKey((i*31+j*17)%nItems))
 				}
-				res, err := g.MultiLookup(&tally, from, ks)
+				res, _, err := g.MultiLookupAt(&tally, from, ks, 0)
 				record(res, &tally, err)
 			case 2:
 				lo := (i * 11) % (nItems - 80)

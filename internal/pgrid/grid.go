@@ -47,8 +47,6 @@ type Config struct {
 	// trie level (the paper's "randomized choice of routing references from
 	// the complementary subtrie" plus redundancy for fault tolerance).
 	RefsPerLevel int
-	// MaxDepth caps trie depth during construction.
-	MaxDepth int
 	// Seed drives all randomized choices (construction shuffles and routing
 	// reference selection), making experiments reproducible.
 	Seed int64
@@ -86,12 +84,14 @@ type Config struct {
 	Retry RetryConfig
 }
 
+// maxTrieDepth caps trie depth during construction.
+const maxTrieDepth = 64
+
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
 		Replication:  1,
 		RefsPerLevel: 2,
-		MaxDepth:     64,
 		Seed:         1,
 	}
 }
@@ -102,9 +102,6 @@ func (c *Config) normalize() {
 	}
 	if c.RefsPerLevel < 1 {
 		c.RefsPerLevel = 1
-	}
-	if c.MaxDepth < 1 {
-		c.MaxDepth = 64
 	}
 }
 
@@ -474,7 +471,7 @@ func Build(net simnet.Fabric, nPeers int, sample []keys.Key, cfg Config) (*Grid,
 	if targetLeaves < 1 {
 		targetLeaves = 1
 	}
-	leafPaths := splitTrie(hashed, targetLeaves, cfg.MaxDepth)
+	leafPaths := splitTrie(hashed, targetLeaves)
 
 	g := &Grid{net: net, cfg: cfg, h: h, rng: rng}
 	g.writeDrained = sync.NewCond(&g.memberMu)
@@ -523,12 +520,12 @@ func (h leafHeap) peekCount() int     { return h[0].hi - h[0].lo }
 // split creates both children so the trie stays complete: search can always
 // make progress toward any key (Section 2: "the algorithm always terminates
 // successfully, if the P-Grid is complete").
-func splitTrie(sorted []keys.Key, target, maxDepth int) []buildLeaf {
+func splitTrie(sorted []keys.Key, target int) []buildLeaf {
 	var done []buildLeaf
 	h := &leafHeap{{path: keys.Empty, lo: 0, hi: len(sorted)}}
 	for len(done)+h.Len() < target && h.Len() > 0 {
 		leaf := heap.Pop(h).(buildLeaf)
-		if !splittable(sorted, leaf, maxDepth) {
+		if !splittable(sorted, leaf) {
 			done = append(done, leaf)
 			continue
 		}
@@ -549,8 +546,8 @@ func splitTrie(sorted []keys.Key, target, maxDepth int) []buildLeaf {
 
 // splittable reports whether a leaf can still be divided: below the depth
 // cap, holding at least one item, and not all keys equal.
-func splittable(sorted []keys.Key, l buildLeaf, maxDepth int) bool {
-	if l.path.Len() >= maxDepth || l.hi-l.lo < 2 {
+func splittable(sorted []keys.Key, l buildLeaf) bool {
+	if l.path.Len() >= maxTrieDepth || l.hi-l.lo < 2 {
 		return false
 	}
 	return !sorted[l.lo].Equal(sorted[l.hi-1])

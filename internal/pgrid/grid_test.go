@@ -345,7 +345,7 @@ func TestMultiLookupDeliversOncePerPartition(t *testing.T) {
 				received[e.To]++
 			}
 		})
-		if _, err := g.MultiLookup(nil, simnet.NodeID(rng.Intn(40)), ks); err != nil {
+		if _, _, err := g.MultiLookupAt(nil, simnet.NodeID(rng.Intn(40)), ks, 0); err != nil {
 			t.Fatal(err)
 		}
 		net.SetTracer(nil)
@@ -387,7 +387,7 @@ func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 			ks = append(ks, testKey(id))
 			want[fmt.Sprintf("o%d", id)] = true
 		}
-		res, err := g.MultiLookup(nil, simnet.NodeID(rng.Intn(48)), ks)
+		res, _, err := g.MultiLookupAt(nil, simnet.NodeID(rng.Intn(48)), ks, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestMultiLookupCheaperThanIndividual(t *testing.T) {
 		ks = append(ks, testKey(rng.Intn(2000)))
 	}
 	var batched metrics.Tally
-	if _, err := g.MultiLookup(&batched, 0, ks); err != nil {
+	if _, _, err := g.MultiLookupAt(&batched, 0, ks, 0); err != nil {
 		t.Fatal(err)
 	}
 	var individual metrics.Tally
@@ -672,11 +672,11 @@ func TestLoadBalancedAcrossPeers(t *testing.T) {
 
 func TestMultiLookupEmptyAndUnknownKeys(t *testing.T) {
 	g, _ := buildTestGrid(t, 20, 300, DefaultConfig())
-	res, err := g.MultiLookup(nil, 0, nil)
+	res, _, err := g.MultiLookupAt(nil, 0, nil, 0)
 	if err != nil || res != nil {
 		t.Errorf("empty MultiLookup = %v, %v", res, err)
 	}
-	res, err = g.MultiLookup(nil, 0, []keys.Key{keys.StringKey("knope1"), keys.StringKey("knope2")})
+	res, _, err = g.MultiLookupAt(nil, 0, []keys.Key{keys.StringKey("knope1"), keys.StringKey("knope2")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

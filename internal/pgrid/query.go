@@ -108,29 +108,18 @@ func (g *Grid) pickRef(v *view, p *Peer, l int, salt uint64) (simnet.NodeID, err
 // responsible partition and returning results in one message to the
 // initiator.
 func (g *Grid) Lookup(t *metrics.Tally, from simnet.NodeID, k keys.Key) ([]triples.Posting, error) {
-	res, _, err := g.LookupAt(t, from, k, opStart(t).at)
+	res, _, err := g.exec.lookup(g.snapshot(), t, from, k, opStart(t).at)
 	return res, err
 }
 
-// LookupAt is Lookup with an explicit virtual start time; it returns the
-// completion time of the lookup so callers can fan out several lookups from
-// one fork point.
-func (g *Grid) LookupAt(t *metrics.Tally, from simnet.NodeID, k keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
-	return g.exec.lookup(g.snapshot(), t, from, k, start)
-}
-
-// MultiLookup retrieves postings for a batch of full-length keys with one
+// MultiLookupAt retrieves postings for a batch of full-length keys with one
 // multicast over the trie instead of one routed lookup per key — the
 // optimization Section 4 describes as collecting "the calls to Retrieve() and
 // contact[ing] peers only once using a routing algorithm similar to the
 // shower algorithm in [6]". Each involved partition receives the subset of
-// keys it is responsible for and answers the initiator directly.
-func (g *Grid) MultiLookup(t *metrics.Tally, from simnet.NodeID, ks []keys.Key) ([]triples.Posting, error) {
-	res, _, err := g.MultiLookupAt(t, from, ks, opStart(t).at)
-	return res, err
-}
-
-// MultiLookupAt is MultiLookup with an explicit virtual start time.
+// keys it is responsible for and answers the initiator directly. The
+// multicast starts at virtual time start and returns its completion time, so
+// callers can fan several operations out from one fork point.
 func (g *Grid) MultiLookupAt(t *metrics.Tally, from simnet.NodeID, ks []keys.Key, start simnet.VTime) ([]triples.Posting, simnet.VTime, error) {
 	if len(ks) == 0 {
 		return nil, start, nil

@@ -13,18 +13,9 @@ type Options struct {
 	// Similar configures every similarity operator in the plan (method
 	// selection: naive / q-grams / q-samples).
 	Similar ops.SimilarOptions
-	// MaxStringDist caps the iterative deepening of rank-aware string
-	// queries (default 5, the paper's evaluation maximum).
-	MaxStringDist int
 	// DisableTopNFastPath forces rank-aware queries through the general
 	// materialize-then-sort path (used by tests and ablations).
 	DisableTopNFastPath bool
-}
-
-func (o *Options) normalize() {
-	if o.MaxStringDist <= 0 {
-		o.MaxStringDist = 5
-	}
 }
 
 // patternInfo is the planner's working state for one pattern.
@@ -42,7 +33,6 @@ type patternInfo struct {
 
 // Build compiles a validated query into a physical plan.
 func Build(q *vql.Query, opts Options) (*Plan, error) {
-	opts.normalize()
 	if err := vql.Validate(q); err != nil {
 		return nil, err
 	}
@@ -401,7 +391,7 @@ func topNFastPath(q *vql.Query, infos []*patternInfo, opts Options) Step {
 		}
 		info.used = true
 		return &stepTopN{pattern: p, attr: attr, n: q.Limit, isString: true,
-			strNeedle: o.NNTarget.Text, maxDist: opts.MaxStringDist, opts: topOpts}
+			strNeedle: o.NNTarget.Text, opts: topOpts}
 	}
 	// ASC/DESC with LIMIT on a numeric attribute: MIN/MAX. (String order-by
 	// takes the general path; lexicographic top-N is not Algorithm 4.)

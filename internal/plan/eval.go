@@ -89,6 +89,5 @@ func maxEditDistance(op vql.CompareOp, bound float64) int {
 // numericDistBounds converts a numeric dist() predicate dist(x, c) op b into
 // the interval [c-b, c+b]; open endpoints for the strict operator.
 func numericDistBounds(center, bound float64, op vql.CompareOp) (lo, hi ops.Bound) {
-	open := op == vql.OpLT
-	return ops.Bound{Value: center - bound, Open: open}, ops.Bound{Value: center + bound, Open: open}
+	return ops.NumericDistBounds(center, bound, op == vql.OpLT)
 }

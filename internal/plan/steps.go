@@ -461,14 +461,13 @@ type stepTopN struct {
 	numRef    float64
 	strNeedle string
 	isString  bool
-	maxDist   int
 	opts      ops.TopNOptions
 }
 
 func (s *stepTopN) Describe() string {
 	if s.isString {
 		return fmt.Sprintf("TopNString %s [attr=%s n=%d needle=%q maxdist=%d]",
-			s.pattern, s.attr, s.n, s.strNeedle, s.maxDist)
+			s.pattern, s.attr, s.n, s.strNeedle, ops.MaxDistance)
 	}
 	return fmt.Sprintf("TopN %s [attr=%s n=%d rank=%s ref=%g]",
 		s.pattern, s.attr, s.n, s.rank, s.numRef)
@@ -477,7 +476,7 @@ func (s *stepTopN) Describe() string {
 func (s *stepTopN) Run(ctx *Context, in []Row) ([]Row, error) {
 	var ts []triples.Triple
 	if s.isString {
-		ms, err := ctx.Store.TopNString(ctx.Tally, ctx.From, s.attr, s.strNeedle, s.n, s.maxDist, s.opts)
+		ms, err := ctx.Store.TopNString(ctx.Tally, ctx.From, s.attr, s.strNeedle, s.n, ops.MaxDistance, s.opts)
 		if err != nil {
 			return nil, err
 		}
