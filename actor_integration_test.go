@@ -177,11 +177,11 @@ func TestActorNumericTopNMatchesDirect(t *testing.T) {
 	}
 	for _, rank := range []ops.Rank{ops.RankMin, ops.RankMax, ops.RankNN} {
 		var dt, at metrics.Tally
-		dres, err := engines[core.RuntimeDirect].Store().TopN(&dt, 5, "hp", 10, rank, 150, ops.TopNOptions{})
+		dres, err := engines[core.RuntimeDirect].Store().TopN(&dt, 5, "hp", 10, rank, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ares, err := engines[core.RuntimeActor].Store().TopN(&at, 5, "hp", 10, rank, 150, ops.TopNOptions{})
+		ares, err := engines[core.RuntimeActor].Store().TopN(&at, 5, "hp", 10, rank, 150)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -266,36 +266,6 @@ func BenchmarkAblationQ(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationJoinMemo quantifies memoizing identical left values in
-// similarity joins (A5), the optimization Algorithm 3 anticipates.
-func BenchmarkAblationJoinMemo(b *testing.B) {
-	// A corpus with heavy duplication so memoization has something to share.
-	base := dataset.BibleWords(300, 2)
-	var corpus []string
-	for i := 0; i < 1200; i++ {
-		corpus = append(corpus, base[i%len(base)])
-	}
-	eng, err := core.Open(dataset.StringTuples("word", "o", corpus), core.Config{Peers: 128})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, memo := range []bool{false, true} {
-		b.Run(fmt.Sprintf("memo=%v", memo), func(b *testing.B) {
-			var msgs int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var tally metrics.Tally
-				if _, err := eng.Store().SimJoin(&tally, simnet.NodeID(i%128), "word", "word", 1,
-					ops.JoinOptions{LeftLimit: 30, MemoizeValues: memo}); err != nil {
-					b.Fatal(err)
-				}
-				msgs += tally.Messages
-			}
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/join")
-		})
-	}
-}
-
 // BenchmarkTopNNumeric measures the numeric top-N operator of Algorithm 4
 // across ranking functions.
 func BenchmarkTopNNumeric(b *testing.B) {
@@ -315,7 +285,7 @@ func BenchmarkTopNNumeric(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var tally metrics.Tally
 				if _, err := eng.Store().TopN(&tally, simnet.NodeID(i%256), "hp", 10, rank,
-					float64((i*331)%100000), ops.TopNOptions{}); err != nil {
+					float64((i*331)%100000)); err != nil {
 					b.Fatal(err)
 				}
 				msgs += tally.Messages

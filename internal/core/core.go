@@ -100,8 +100,9 @@ type Config struct {
 	// paper's cost model.
 	Bandwidth int64
 	// LoadWorkers bounds the bulk-load pipeline's concurrency: entry
-	// extraction and per-partition batch appliers. 0 uses GOMAXPROCS; 1 runs
-	// the pipeline serially. The loaded state is byte-identical for every
+	// extraction, the entry sort and the per-partition batch appliers (grid
+	// construction is serial). 0 uses GOMAXPROCS; 1 runs the pipeline
+	// serially. The loaded state is byte-identical for every
 	// value, so seeded determinism is preserved.
 	LoadWorkers int
 	// LoadBudget caps the modeled bytes of extracted index entries resident
@@ -335,8 +336,7 @@ func (e *Engine) SimJoin(ln, rn string, d int) ([]ops.JoinPair, error) {
 
 // TopN runs a numeric rank-aware query (Algorithm 4) from a random initiator.
 func (e *Engine) TopN(attr string, n int, rank ops.Rank, ref float64) ([]ops.NumMatch, error) {
-	return e.store.TopN(nil, e.grid.RandomPeer(), attr, n, rank, ref,
-		ops.TopNOptions{Similar: e.cfg.Plan.Similar})
+	return e.store.TopN(nil, e.grid.RandomPeer(), attr, n, rank, ref)
 }
 
 // TopNString runs a nearest-neighbour string query from a random initiator.

@@ -29,11 +29,6 @@ type JoinOptions struct {
 	// The paper's evaluation workload under-specifies the join cardinality;
 	// the experiment harness sets this explicitly and records it.
 	LeftLimit int
-	// MemoizeValues shares one similarity selection among identical left
-	// values. Off by default: Algorithm 3 "process[es] separate similarity
-	// selections for each object from the left side", anticipating this as a
-	// future optimization — the AblationJoinMemo benchmark quantifies it.
-	MemoizeValues bool
 }
 
 // SimJoin implements Algorithm 3: it retrieves the left set of triples (all
@@ -69,27 +64,17 @@ func (s *Store) SimJoin(t *metrics.Tally, from simnet.NodeID, ln, rn string, d i
 		left = left[:opts.LeftLimit]
 	}
 
-	// Lines 3-6: one similarity selection per left object (or per distinct
-	// left value when memoizing). The selections are independent, so they
-	// fan out from one fork point — asynchronously issued siblings on the
-	// actor engine's shared timeline — and results are merged back in
-	// deterministic left order.
-	sels := left
-	if opts.MemoizeValues {
-		sels = sels[:0:0]
-		seen := make(map[string]bool, len(left))
-		for _, l := range left {
-			if v := l.Triple.Val.Str; !seen[v] {
-				seen[v] = true
-				sels = append(sels, l)
-			}
-		}
-	}
-	matches := make([][]Match, len(sels))
-	errs := make([]error, len(sels))
+	// Lines 3-6: one similarity selection per left object — Algorithm 3
+	// "process[es] separate similarity selections for each object from the
+	// left side", identical left values included. The selections are
+	// independent, so they fan out from one fork point — asynchronously
+	// issued siblings on the actor engine's shared timeline — and results
+	// are merged back in deterministic left order.
+	matches := make([][]Match, len(left))
+	errs := make([]error, len(left))
 	start := simnet.VTime(t.PathEnd())
-	s.grid.Fanout(start, len(sels), func(i int, st simnet.VTime) simnet.VTime {
-		ms, end, err := s.similarAt(t, from, sels[i].Triple.Val.Str, rn, d, opts.Similar, st)
+	s.grid.Fanout(start, len(left), func(i int, st simnet.VTime) simnet.VTime {
+		ms, end, err := s.similarAt(t, from, left[i].Triple.Val.Str, rn, d, opts.Similar, st)
 		matches[i], errs[i] = ms, err
 		return end
 	})
@@ -98,26 +83,12 @@ func (s *Store) SimJoin(t *metrics.Tally, from simnet.NodeID, ln, rn string, d i
 			return nil, err
 		}
 	}
-	var matchesByValue map[string][]Match
-	if opts.MemoizeValues {
-		matchesByValue = make(map[string][]Match, len(sels))
-		for i, l := range sels {
-			matchesByValue[l.Triple.Val.Str] = matches[i]
-		}
-	}
 	var out []JoinPair
 	for i, l := range left {
-		v := l.Triple.Val.Str
-		var ms []Match
-		if opts.MemoizeValues {
-			ms = matchesByValue[v]
-		} else {
-			ms = matches[i]
-		}
 		leftObj := triples.Tuple{OID: l.Triple.OID,
 			Fields: []triples.Field{{Name: l.Triple.Attr, Val: l.Triple.Val}}}
-		for _, m := range ms {
-			out = append(out, JoinPair{Left: leftObj, LeftValue: v, Right: m})
+		for _, m := range matches[i] {
+			out = append(out, JoinPair{Left: leftObj, LeftValue: l.Triple.Val.Str, Right: m})
 		}
 	}
 	return out, nil

@@ -22,8 +22,10 @@ package ops
 // Stores come out byte-identical for any budget and worker count: every
 // window is sorted by (key, posting), the order stores keep, and
 // Grid.BulkLoad merges each window into the stores in that order. The sample
-// is the same key multiset however the data is windowed (grid construction
-// sorts it), and counts and attributes are order-free.
+// is the same key multiset however the data is windowed, and counts and
+// attributes are order-free. With one window the sample is already sorted
+// and grid construction reads it in place; a windowed sample is sorted once,
+// on a copy, by pgrid.Build.
 
 import (
 	"cmp"
@@ -257,10 +259,10 @@ func (p *LoadPlan) extract(w loadWindow, workers int) []pgrid.BulkEntry {
 // sortEntries sorts a window's entries by (key, posting) in place. It is an
 // index sort (moving 4-byte indices beats shuffling ~128-byte entries) whose
 // permutation is applied by cycle rotation, so no second entry array doubles
-// the load's allocation footprint. Downstream this one sort does triple
-// duty: grid construction re-sorts the sample in near-linear time, BulkLoad
-// resolves partition responsibility by linear merge instead of per-key
-// binary search, and shard batches apply without any further sorting.
+// the load's allocation footprint. Downstream this is the load's only sort:
+// grid construction reads a one-window sample in place, BulkLoad cuts the
+// batch into per-partition runs by binary search instead of hashing every
+// key, and the runs apply without any further sorting.
 func sortEntries(es []pgrid.BulkEntry, workers int) {
 	idx := make([]int32, len(es))
 	for i := range idx {

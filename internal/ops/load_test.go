@@ -86,7 +86,8 @@ func loadTestCorpus() []triples.Tuple {
 // against an oracle independent of the planner: the plan's balancing sample
 // is, as a multiset, exactly the keys the routed write derives for the same
 // tuples — every index entry of every triple, catalog entries excluded —
-// whatever the workers and windows.
+// whatever the workers and windows. A one-window sample also comes out
+// sorted, so grid construction reads it in place instead of copying it.
 func TestPlanLoadSampleMatchesCollectKeys(t *testing.T) {
 	tuples := loadTestCorpus()
 	cfg := StoreConfig{}
@@ -113,6 +114,9 @@ func TestPlanLoadSampleMatchesCollectKeys(t *testing.T) {
 			if got := sortedKeys(p.SampleKeys()); !slices.EqualFunc(got, want, keys.Key.Equal) {
 				t.Fatalf("budget=%d workers=%d: sample of %d keys differs from the routed write's %d",
 					budget, workers, len(got), len(want))
+			}
+			if budget == 0 && !slices.IsSortedFunc(p.SampleKeys(), keys.Key.Compare) {
+				t.Fatalf("workers=%d: the one-window sample is not sorted", workers)
 			}
 		}
 	}

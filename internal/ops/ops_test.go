@@ -318,28 +318,29 @@ func TestSimJoinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSimJoinMemoizationSameResultsFewerMessages(t *testing.T) {
-	// Duplicate left values: memoization must not change results.
+func TestSimJoinDuplicateLeftValues(t *testing.T) {
+	// Algorithm 3 runs one selection per left object, so two objects with
+	// the same value are each paired with every match of that value.
 	words := []string{"apple", "apple", "apply", "ample", "grape"}
 	var tuples []triples.Tuple
 	for i, w := range words {
 		tuples = append(tuples, triples.MustTuple(fmt.Sprintf("o%d", i), "word", w))
 	}
 	f := loadTuples(t, 12, tuples, StoreConfig{})
-	var plain, memo metrics.Tally
-	a, err := f.store.SimJoin(&plain, 0, "word", "word", 1, JoinOptions{})
+	pairs, err := f.store.SimJoin(nil, 0, "word", "word", 1, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.store.SimJoin(&memo, 0, "word", "word", 1, JoinOptions{MemoizeValues: true})
-	if err != nil {
-		t.Fatal(err)
+	rights := make(map[string][]string)
+	for _, p := range pairs {
+		rights[p.Left.OID] = append(rights[p.Left.OID], p.Right.OID)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("memoization changed results: %d vs %d", len(a), len(b))
-	}
-	if memo.Messages >= plain.Messages {
-		t.Errorf("memoized join (%d msgs) not cheaper than plain (%d)", memo.Messages, plain.Messages)
+	for _, oid := range []string{"o0", "o1"} {
+		got := rights[oid]
+		sort.Strings(got)
+		if want := []string{"o0", "o1", "o2", "o3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("left %s (apple) paired with %v, want %v", oid, got, want)
+		}
 	}
 }
 
@@ -386,7 +387,7 @@ func TestTopNMaxMatchesBruteForce(t *testing.T) {
 	sorted := append([]float64(nil), values...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	for _, n := range []int{1, 5, 17} {
-		got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", n, RankMax, 0, TopNOptions{})
+		got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", n, RankMax, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +411,7 @@ func TestTopNMinMatchesBruteForce(t *testing.T) {
 	f := numFixture(t, 24, values)
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", 10, RankMin, 0, TopNOptions{})
+	got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", 10, RankMin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestTopNNNMatchesBruteForce(t *testing.T) {
 		sort.Slice(sorted, func(i, j int) bool {
 			return math.Abs(sorted[i]-center) < math.Abs(sorted[j]-center)
 		})
-		got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", 7, RankNN, center, TopNOptions{})
+		got, err := f.store.TopN(nil, f.store.Grid().RandomPeer(), "hp", 7, RankNN, center)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +452,7 @@ func TestTopNNNMatchesBruteForce(t *testing.T) {
 
 func TestTopNFewerThanNAvailable(t *testing.T) {
 	f := numFixture(t, 8, []float64{1, 2, 3})
-	got, err := f.store.TopN(nil, 0, "hp", 10, RankMax, 0, TopNOptions{})
+	got, err := f.store.TopN(nil, 0, "hp", 10, RankMax, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,17 +466,17 @@ func TestTopNFewerThanNAvailable(t *testing.T) {
 
 func TestTopNErrors(t *testing.T) {
 	f := numFixture(t, 4, []float64{1})
-	if _, err := f.store.TopN(nil, 0, "hp", 0, RankMax, 0, TopNOptions{}); err == nil {
+	if _, err := f.store.TopN(nil, 0, "hp", 0, RankMax, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := f.store.TopN(nil, 0, "nosuch", 1, RankMax, 0, TopNOptions{}); err == nil {
+	if _, err := f.store.TopN(nil, 0, "nosuch", 1, RankMax, 0); err == nil {
 		t.Error("missing attribute accepted")
 	}
 }
 
 func TestTopNObjectsAttached(t *testing.T) {
 	f := numFixture(t, 8, []float64{10, 20, 30})
-	got, err := f.store.TopN(nil, 0, "hp", 2, RankMax, 0, TopNOptions{})
+	got, err := f.store.TopN(nil, 0, "hp", 2, RankMax, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,13 +484,6 @@ func TestTopNObjectsAttached(t *testing.T) {
 		if v, ok := m.Object.Get("hp"); !ok || v.Num != m.Value {
 			t.Errorf("object not attached: %+v", m)
 		}
-	}
-	skip, err := f.store.TopN(nil, 0, "hp", 2, RankMax, 0, TopNOptions{SkipObjects: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skip[0].Object.Fields) != 0 {
-		t.Error("SkipObjects still attached objects")
 	}
 }
 

@@ -52,23 +52,14 @@ type NumMatch struct {
 	Object triples.Tuple
 }
 
-// TopNOptions tunes the top-N operators.
+// TopNOptions tunes the string top-N operator.
 type TopNOptions struct {
-	// MaxIterations caps the range-adaptation loop of Algorithm 4
-	// (default 32).
-	MaxIterations int
-	// SkipObjects returns oids and values only, skipping the final
-	// reconstruction of complete tuples.
-	SkipObjects bool
-	// Similar configures the inner similarity operator of string top-N.
+	// Similar configures its inner similarity operator.
 	Similar SimilarOptions
 }
 
-func (o *TopNOptions) normalize() {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 32
-	}
-}
+// topNMaxIterations caps the range-adaptation loop of Algorithm 4.
+const topNMaxIterations = 32
 
 // numHit is one deduplicated numeric result row during the adaptation loop.
 type numHit struct {
@@ -88,11 +79,10 @@ type numHit struct {
 // the previous *lower* bound instead and track scanned coverage, which keeps
 // the algorithm's shape (density-adapted sliding windows) while making
 // results exact; duplicates across windows are folded.
-func (s *Store) TopN(t *metrics.Tally, from simnet.NodeID, attr string, n int, rank Rank, v float64, opts TopNOptions) ([]NumMatch, error) {
+func (s *Store) TopN(t *metrics.Tally, from simnet.NodeID, attr string, n int, rank Rank, v float64) ([]NumMatch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ops: top-N needs n > 0, got %d", n)
 	}
-	opts.normalize()
 
 	// Lines 1-3: estimate density from the initiator's local share of the
 	// attribute; when the initiator holds none, the paper's aside "(if this
@@ -132,7 +122,7 @@ func (s *Store) TopN(t *metrics.Tally, from simnet.NodeID, attr string, n int, r
 	scannedLo, scannedHi := math.Inf(1), math.Inf(-1)
 	emptyStreak := 0
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < topNMaxIterations; iter++ {
 		added := 0
 		// The window may fall apart into disjoint uncovered segments (below
 		// and above the scanned band); their range probes are independent,
@@ -202,10 +192,8 @@ func (s *Store) TopN(t *metrics.Tally, from simnet.NodeID, attr string, n int, r
 	if len(matches) > n {
 		matches = matches[:n]
 	}
-	if !opts.SkipObjects {
-		if err := s.attachObjects(t, from, matches); err != nil {
-			return matches, err
-		}
+	if err := s.attachObjects(t, from, matches); err != nil {
+		return matches, err
 	}
 	return matches, nil
 }
@@ -383,7 +371,6 @@ func (s *Store) TopNString(t *metrics.Tally, from simnet.NodeID, attr, needle st
 	if n <= 0 {
 		return nil, fmt.Errorf("ops: top-N needs n > 0, got %d", n)
 	}
-	opts.normalize()
 	var matches []Match
 	for d := 0; d <= maxDist; d++ {
 		ms, err := s.Similar(t, from, needle, attr, d, opts.Similar)

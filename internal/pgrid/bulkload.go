@@ -9,19 +9,20 @@ package pgrid
 // lock acquisition. BulkLoad amortizes all four over a whole batch:
 //
 //  0. order: the batch is taken in (key, posting) order — the order every
-//     store keeps and ops.PlanLoadStream emits; any other batch is sorted
-//     once, on a copy;
-//  1. pre-hash: every key resolves to its responsible leaf through a
-//     rank→leaf table (a rank cursor advanced along the sorted batch against
-//     the hash anchors, one array lookup instead of a leaf search), in
-//     parallel chunks;
-//  2. shard: a counting sort groups entry indices by leaf, preserving batch
-//     order — already the stores' order — within each shard;
-//  3. apply: one owner goroutine per partition merges its shard into every
+//     store keeps and ops.PlanLoadStream emits. One pass checks it, and any
+//     other batch is sorted once, on a copy. This is the only pass over the
+//     whole batch before the appliers;
+//  1. rank → leaf: hashing collapses every key to a rank, and a table filled
+//     from the (far fewer) leaves names each rank's responsible leaf;
+//  2. shard: the hash is monotone and every leaf covers one contiguous run
+//     of ranks, so in a sorted batch each partition's entries form one
+//     contiguous run. Its end is a binary search for the partition's last
+//     rank boundary; nothing is permuted or copied;
+//  3. apply: one owner goroutine per partition merges its run into every
 //     member store under a single lock, rebuilding the tree bottom-up.
-//     Replicas alias the shard's key/posting slices; nothing is copied per
-//     member, and no two goroutines ever touch the same partition store, so
-//     there is no cross-shard lock contention.
+//     Replicas alias the run; nothing is copied per member, and no two
+//     goroutines ever touch the same partition store, so there is no
+//     cross-shard lock contention.
 //
 // BulkLoad reads one membership epoch: it is safe concurrently with queries,
 // and a batch racing a split of the same partition lands in the pre-split
@@ -31,8 +32,8 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/keys"
 	"repro/internal/triples"
@@ -78,8 +79,8 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 	}
 	v := g.snapshot()
 
-	// Every pass below relies on (key, posting) order. An unsorted batch is
-	// sorted on a copy, so the caller's slice stays as it was.
+	// Pass 0: every pass below relies on (key, posting) order. An unsorted
+	// batch is sorted on a copy, so the caller's slice stays as it was.
 	for i := 1; i < len(entries); i++ {
 		if compareEntries(&entries[i-1], &entries[i]) > 0 {
 			entries = slices.Clone(entries)
@@ -87,15 +88,48 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 			break
 		}
 	}
+	shards, err := g.shardBatch(v, entries)
+	if err != nil {
+		return err
+	}
 
-	// Rank → leaf table: hashing collapses every key to a rank, so per-entry
-	// responsibility is one table lookup instead of a leaf search. Ranks
-	// scale with distinct sample keys, so the table is filled by iterating
-	// the (far fewer) leaves: a leaf whose hashed-space path p has l <=
-	// hash-width bits covers exactly the contiguous rank interval
-	// [p << (width-l), (p+1) << (width-l)) — no per-rank key allocation or
-	// leaf search. Deeper leaves (possible only in degenerate tries) fall
-	// back to the per-rank search.
+	// Pass 3 (parallel): one owner goroutine per partition shard.
+	work := make(chan shard, len(shards))
+	for _, s := range shards {
+		work <- s
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range work {
+				g.applyShard(v, s.leaf, entries[s.lo:s.hi])
+			}
+		}()
+	}
+	wg.Wait()
+	return nil
+}
+
+// shard is one partition's run entries[lo:hi] of a sorted batch.
+type shard struct {
+	leaf, lo, hi int
+}
+
+// shardBatch cuts a (key, posting)-sorted batch into one contiguous run per
+// partition it touches, in rank order. It reads the batch only at the binary
+// searches for run ends. A run of ranks no leaf covers fails the batch with
+// ErrNoPartition before any store is touched.
+func (g *Grid) shardBatch(v *view, entries []BulkEntry) ([]shard, error) {
+	// Pass 1: rank → leaf table. Ranks scale with distinct sample keys, so
+	// the table is filled by iterating the (far fewer) leaves: a leaf whose
+	// hashed-space path p has l <= hash-width bits covers exactly the
+	// contiguous rank interval [p << (width-l), (p+1) << (width-l)) — no
+	// per-rank key allocation or leaf search. Deeper leaves (possible only
+	// in degenerate tries) fall back to the per-rank search, which names
+	// one leaf per rank.
 	rankLeaf := make([]int32, g.h.ranks())
 	for r := range rankLeaf {
 		rankLeaf[r] = -1
@@ -125,102 +159,43 @@ func (g *Grid) BulkLoad(entries []BulkEntry, workers int) error {
 		}
 	}
 
-	// Pass 1 (parallel): resolve every key to its responsible leaf. Each
-	// chunk searches its first rank and advances a cursor from there.
-	leafOf := make([]int32, len(entries))
-	var uncovered atomic.Bool
-	parallelRanges(len(entries), workers, func(lo, hi int) {
-		rank := g.h.rank(entries[lo].Key)
-		for i := lo; i < hi; i++ {
-			rank = g.h.advanceRank(rank, entries[i].Key)
-			li := rankLeaf[rank]
+	// Pass 2: walk the table's runs of equal leaf; the batch entries of a
+	// run's ranks [r, end) end where rank end begins.
+	var shards []shard
+	lo := 0
+	for r := 0; r < len(rankLeaf) && lo < len(entries); {
+		li := rankLeaf[r]
+		end := r + 1
+		for end < len(rankLeaf) && rankLeaf[end] == li {
+			end++
+		}
+		hi := len(entries)
+		if end < len(rankLeaf) {
+			hi = lo + sort.Search(len(entries)-lo, func(i int) bool {
+				return g.h.reachesRank(entries[lo+i].Key, end)
+			})
+		}
+		if hi > lo {
 			if li < 0 {
-				uncovered.Store(true)
-				return
+				return nil, ErrNoPartition
 			}
-			leafOf[i] = li
+			shards = append(shards, shard{leaf: int(li), lo: lo, hi: hi})
 		}
-	})
-	if uncovered.Load() {
-		return ErrNoPartition
+		lo, r = hi, end
 	}
-
-	// Pass 2 (serial counting sort): group entry indices by leaf, keeping
-	// batch order inside each shard.
-	nLeaves := v.leaves.len()
-	counts := make([]int, nLeaves)
-	for _, li := range leafOf {
-		counts[li]++
-	}
-	offs := make([]int, nLeaves+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
-	order := make([]int32, len(entries))
-	next := append([]int(nil), offs[:nLeaves]...)
-	for i, li := range leafOf {
-		order[next[li]] = int32(i)
-		next[li]++
-	}
-
-	// Pass 3 (parallel): one owner goroutine per partition shard.
-	var wg sync.WaitGroup
-	work := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for li := range work {
-				g.applyShard(v, li, entries, order[offs[li]:offs[li+1]])
-			}
-		}()
-	}
-	for li := 0; li < nLeaves; li++ {
-		if counts[li] > 0 {
-			work <- li
-		}
-	}
-	close(work)
-	wg.Wait()
-	return nil
+	return shards, nil
 }
 
-// applyShard merges one partition's shard of entry indices into every member
-// store as a single batch in (key, posting) order, the stores' own order: the
-// counting sort kept the sorted batch's order. Members read the shared shard
-// through an index closure; nothing is copied per replica.
-func (g *Grid) applyShard(v *view, li int, entries []BulkEntry, shard []int32) {
+// applyShard merges one partition's run of a sorted batch into every member
+// store as a single batch in (key, posting) order, the stores' own order.
+// Members read the shared run through an index closure; nothing is copied
+// per replica.
+func (g *Grid) applyShard(v *view, li int, run []BulkEntry) {
 	at := func(j int) (keys.Key, triples.Posting) {
-		e := &entries[shard[j]]
+		e := &run[j]
 		return e.Key, e.Posting
 	}
 	for _, id := range v.leaves.at(li).peers {
-		v.peers.at(id).localMergeSorted(len(shard), at)
+		v.peers.at(id).localMergeSorted(len(run), at)
 	}
-}
-
-// parallelRanges runs fn over contiguous chunks of [0, n) on up to `workers`
-// goroutines, returning when all chunks are done. workers <= 1 runs inline.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -3,8 +3,10 @@ package pgrid
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/keys"
 	"repro/internal/simnet"
@@ -261,5 +263,174 @@ func TestBulkLoadThenMembershipChurn(t *testing.T) {
 	}
 	if tally != nItems {
 		t.Fatalf("final sweep found %d postings, want %d", tally, nItems)
+	}
+}
+
+// TestBuildUnsortedSampleMatchesSorted hands Build a shuffled copy of a
+// sample, as a windowed load does, and checks that it builds the grid the
+// sorted sample builds: leaf paths, peer assignment, routing tables, Stats
+// and loaded stores. The caller's shuffled slice must come back
+// element-for-element as it was.
+func TestBuildUnsortedSampleMatchesSorted(t *testing.T) {
+	const nPeers = 48
+	entries := bulkEntries(4000)
+	slices.SortFunc(entries, func(a, b BulkEntry) int { return compareEntries(&a, &b) })
+	sorted := make([]keys.Key, len(entries))
+	for i, e := range entries {
+		sorted[i] = e.Key
+	}
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(6)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	if slices.IsSortedFunc(shuffled, keys.Key.Compare) {
+		t.Fatal("fixture: the shuffled sample is sorted")
+	}
+	sample := slices.Clone(shuffled)
+
+	cfg := Config{Replication: 2, RefsPerLevel: 2, Seed: 8}
+	build := func(sample []keys.Key) *Grid {
+		g, err := Build(simnet.New(nPeers), nPeers, sample, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.BulkLoad(entries, 4); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	want, got := build(sorted), build(sample)
+	if !slices.EqualFunc(sample, shuffled, keys.Key.Equal) {
+		t.Fatal("Build reordered the caller's sample")
+	}
+
+	if gs, ws := got.Stats(), want.Stats(); gs != ws {
+		t.Fatalf("Stats %+v, want %+v", gs, ws)
+	}
+	gl, wl := got.snapshot().leafList(), want.snapshot().leafList()
+	if len(gl) != len(wl) {
+		t.Fatalf("%d leaves, want %d", len(gl), len(wl))
+	}
+	for i := range wl {
+		if !gl[i].path.Equal(wl[i].path) || !slices.Equal(gl[i].peers, wl[i].peers) || gl[i].items != wl[i].items {
+			t.Fatalf("leaf %d: path %s peers %v items %d, want %s %v %d",
+				i, gl[i].path, gl[i].peers, gl[i].items, wl[i].path, wl[i].peers, wl[i].items)
+		}
+	}
+	gp, wp := got.snapshot().peerList(), want.snapshot().peerList()
+	for i := range wp {
+		if !gp[i].path.Equal(wp[i].path) || !slices.Equal(gp[i].replicas, wp[i].replicas) ||
+			!slices.EqualFunc(gp[i].refs, wp[i].refs, slices.Equal) {
+			t.Fatalf("peer %d: path %s replicas %v refs %v, want %s %v %v",
+				i, gp[i].path, gp[i].replicas, gp[i].refs, wp[i].path, wp[i].replicas, wp[i].refs)
+		}
+	}
+	sameStores(t, got, want, nPeers)
+}
+
+// TestBuildReadsSortedSampleInPlace checks that a sorted sample costs Build
+// no copy: building from it allocates at least half a sample copy less than
+// building from the same keys shuffled, which Build must copy to sort.
+func TestBuildReadsSortedSampleInPlace(t *testing.T) {
+	const nPeers, n = 16, 20000
+	_, sorted := seqEntries(n)
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	allocated := func(sample []keys.Key) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Build(simnet.New(nPeers), nPeers, sample, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	copyBytes := uint64(n) * uint64(unsafe.Sizeof(keys.Key{}))
+	if s, u := allocated(sorted), allocated(shuffled); s+copyBytes/2 > u {
+		t.Errorf("Build allocated %d B for a sorted sample and %d B for a shuffled one; a copy is %d B", s, u, copyBytes)
+	}
+}
+
+// checkShards fails the test unless shards tile the sorted batch in order,
+// one run per leaf, and every entry of a run belongs to that run's leaf by
+// the per-key rule a routed insert uses (hash, then leaf search).
+func checkShards(t *testing.T, g *Grid, v *view, batch []BulkEntry, shards []shard) {
+	t.Helper()
+	seen := make(map[int]bool)
+	lo := 0
+	for _, s := range shards {
+		if s.lo != lo || s.hi <= s.lo {
+			t.Fatalf("shard %+v does not start at %d or is empty", s, lo)
+		}
+		if seen[s.leaf] {
+			t.Fatalf("leaf %d has two runs", s.leaf)
+		}
+		seen[s.leaf] = true
+		for i := s.lo; i < s.hi; i++ {
+			if li := v.leafForHashed(g.h.hash(batch[i].Key)); li != s.leaf {
+				t.Fatalf("entry %d (%s) sits in leaf %d's run, belongs to leaf %d", i, batch[i].Key, s.leaf, li)
+			}
+		}
+		lo = s.hi
+	}
+	if lo != len(batch) {
+		t.Fatalf("shards cover [0,%d) of %d entries", lo, len(batch))
+	}
+}
+
+// TestBulkLoadShardsAreContiguous checks that on a sorted batch every
+// partition's shard is one contiguous run of the batch, on a built trie and
+// on a degenerate one with leaves deeper than the hash width. Neither Build
+// nor Join deepens a leaf past the width, so the second trie replaces one
+// built leaf by a chain that tiles its subtrie and ends in two leaves one
+// bit deeper than the width.
+func TestBulkLoadShardsAreContiguous(t *testing.T) {
+	const nPeers = 32
+	batch := bulkEntries(3000)
+	slices.SortFunc(batch, func(a, b BulkEntry) int { return compareEntries(&a, &b) })
+	sample := make([]keys.Key, len(batch))
+	for i, e := range batch {
+		sample[i] = e.Key
+	}
+	g, err := Build(simnet.New(nPeers), nPeers, sample, Config{Replication: 2, RefsPerLevel: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.snapshot()
+	shards, err := g.shardBatch(v, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShards(t, g, v, batch, shards)
+
+	// Deepen the leaf holding the batch's middle entry along that entry's
+	// hashed key hk: at every level below the leaf, the sibling off hk's
+	// path becomes a leaf, and hk itself splits into hk+0 and hk+1.
+	hk := g.h.hash(batch[len(batch)/2].Key)
+	deep := v.leafForHashed(hk)
+	var leaves []leafInfo
+	v.leaves.forEach(func(li int, lf *leafInfo) {
+		if li != deep {
+			leaves = append(leaves, leafInfo{path: lf.path})
+			return
+		}
+		for d := lf.path.Len() + 1; d <= hk.Len(); d++ {
+			leaves = append(leaves, leafInfo{path: hk.Prefix(d).FlipLast()})
+		}
+		leaves = append(leaves, leafInfo{path: hk.AppendBit(0)}, leafInfo{path: hk.AppendBit(1)})
+	})
+	slices.SortFunc(leaves, func(a, b leafInfo) int { return a.path.Compare(b.path) })
+	dv := &view{leaves: newLeafTable(leaves)}
+	shards, err = g.shardBatch(dv, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShards(t, g, dv, batch, shards)
+	deepRun := false
+	for _, s := range shards {
+		deepRun = deepRun || dv.leaves.at(s.leaf).path.Len() > g.h.width
+	}
+	if !deepRun {
+		t.Fatal("fixture: no run lands in a leaf deeper than the hash width")
 	}
 }

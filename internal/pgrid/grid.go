@@ -27,6 +27,7 @@ import (
 	"container/heap"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,10 +72,6 @@ type Config struct {
 	// on the fabric; without one the hashed path is kept, as it is by
 	// default, so seeded route determinism is opt-out only.
 	LatencyAwareRefs bool
-	// LoadWorkers bounds the goroutines the balancing-sample sort in Build
-	// may use. <= 1 keeps that sort serial. The sorted outcome is identical
-	// for any value.
-	LoadWorkers int
 	// Retry enables the robustness layer (see robust.go): wire sends lost in
 	// transit are retransmitted with exponential virtual-time backoff,
 	// unreachable targets fail over to structural replicas, and read
@@ -351,16 +348,21 @@ func (h *hasher) rank(k keys.Key) int {
 }
 
 // advanceRank returns the rank of k given a cursor already at the rank of
-// some key <= k. Callers walking keys in ascending order (the bulk-load and
-// construction merge passes) get |{anchors <= k}| with one overall linear
-// sweep of the anchors instead of a binary search per key; rank and
-// advanceRank must agree, so "anchor <= key" is defined here and in rank
-// only.
+// some key <= k. Construction, walking the sorted sample, gets
+// |{anchors <= k}| with one overall linear sweep of the anchors instead of a
+// binary search per key. rank, advanceRank and reachesRank must agree, so
+// "anchor <= key" is defined in these three only.
 func (h *hasher) advanceRank(rank int, k keys.Key) int {
 	for rank < len(h.anchors) && h.anchors[rank].Compare(k) <= 0 {
 		rank++
 	}
 	return rank
+}
+
+// reachesRank reports whether rank(k) >= r, for r in [0, ranks). BulkLoad
+// cuts a sorted batch at rank boundaries with it.
+func (h *hasher) reachesRank(k keys.Key, r int) bool {
+	return r == 0 || h.anchors[r-1].Compare(k) <= 0
 }
 
 // ranks reports the size of the rank space: every key hashes to a rank in
@@ -436,6 +438,11 @@ var (
 // sample is a representative multiset of the keys the grid will store; the
 // trie is balanced against it. The network must have capacity for nPeers
 // nodes.
+//
+// Construction reads the sample in key order. A sorted sample — the
+// planner's one-window sample is the keys of its (key, posting)-sorted
+// entries — is read in place; any other is sorted once, on a copy. The
+// caller's slice is neither reordered nor retained.
 func Build(net simnet.Fabric, nPeers int, sample []keys.Key, cfg Config) (*Grid, error) {
 	cfg.normalize()
 	if nPeers < 1 {
@@ -446,9 +453,11 @@ func Build(net simnet.Fabric, nPeers int, sample []keys.Key, cfg Config) (*Grid,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	sorted := make([]keys.Key, len(sample))
-	copy(sorted, sample)
-	sortKeysParallel(sorted, cfg.LoadWorkers)
+	sorted := sample
+	if !slices.IsSortedFunc(sorted, keys.Key.Compare) {
+		sorted = slices.Clone(sample)
+		slices.SortFunc(sorted, keys.Key.Compare)
+	}
 
 	h := newHasher(sorted)
 	// A monotone hash keeps the sorted order, so the hashed sample is sorted —

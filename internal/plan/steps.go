@@ -485,7 +485,7 @@ func (s *stepTopN) Run(ctx *Context, in []Row) ([]Row, error) {
 			ts = append(ts, triples.Triple{OID: m.OID, Attr: m.Attr, Val: triples.String(m.Matched)})
 		}
 	} else {
-		ms, err := ctx.Store.TopN(ctx.Tally, ctx.From, s.attr, s.n, s.rank, s.numRef, s.opts)
+		ms, err := ctx.Store.TopN(ctx.Tally, ctx.From, s.attr, s.n, s.rank, s.numRef)
 		if errors.Is(err, ops.ErrNoNumericValues) {
 			// The attribute holds strings: fall back to a scan; Execute's
 			// sort and limit produce the lexicographic top N.
